@@ -114,8 +114,8 @@ struct Context {
     std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
 
-    /// `extra_known` declares bench-specific flags (e.g. fig5's --points)
-    /// so they are not reported as unknown.
+    /// `extra_known` declares bench-specific flags (e.g. sfi_campaign's
+    /// --figures) so they are not reported as unknown.
     Context(int argc, char** argv, std::size_t default_trials,
             std::vector<std::string> extra_known = {})
         : cli(argc, argv, known_flags(std::move(extra_known))) {
@@ -229,7 +229,8 @@ struct Context {
 
     /// get_uint with CLI-grade error reporting: a bad value prints the
     /// reason and exits 2 instead of running a nonsense experiment.
-    /// Bench-specific count flags (fig5's --points) go through this too.
+    /// Bench-specific count flags (bench_cwc_compare's --points) go
+    /// through this too.
     std::uint64_t checked_uint(const char* name, std::uint64_t def) const {
         try {
             return cli.get_uint(name, def);
@@ -298,11 +299,6 @@ private:
         return policy;
     }
 };
-
-/// Frequencies spanning [lo, hi] with roughly `points` samples.
-inline std::vector<double> span(double lo, double hi, std::size_t points) {
-    return linspace(lo, hi, points);
-}
 
 /// Maps a --benchmark flag value to its BenchmarkId; a typo prints the
 /// valid names and exits 2 (the Context::checked_* contract). Call it

@@ -1,5 +1,7 @@
 // Campaign driver: runs any of the built-in figure/ablation campaigns
-// (src/campaign/figures.hpp) against a shared persistent point store.
+// (src/campaign/figures.hpp) against a shared persistent point store,
+// printing each figure's panel headers and, once a campaign completes,
+// its report (combined tables, paper anchors).
 //
 //   sfi_campaign --list
 //   sfi_campaign --figures fig1,fig5 --trials 100 --threads 0
@@ -11,8 +13,8 @@
 // left off, and a re-run with identical parameters is served entirely
 // from the store with byte-identical CSV output (the resume contract;
 // CI enforces it).
-#include <algorithm>
 #include <csignal>
+#include <sstream>
 
 #include "bench_common.hpp"
 
@@ -36,57 +38,49 @@ int main(int argc, char** argv) {
 
     if (ctx.cli.get_bool("list", false)) {
         std::cout << "built-in figure campaigns:\n";
-        for (const std::string& name : campaign::figures::figure_names())
-            std::cout << "  " << name << "\n";
+        for (const campaign::figures::Figure& figure :
+             campaign::figures::figure_table())
+            std::cout << "  " << figure.name << "\n";
         return 0;
     }
 
-    // --figures a,b,c ("all" or empty = everything).
-    std::vector<std::string> selected;
-    {
-        const std::string list = ctx.cli.get("figures", "all");
-        if (list == "all" || list.empty()) {
-            selected = campaign::figures::figure_names();
-        } else {
-            std::string::size_type pos = 0;
-            while (pos <= list.size()) {
-                const auto comma = list.find(',', pos);
-                const std::string name =
-                    list.substr(pos, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - pos);
-                if (!name.empty()) selected.push_back(name);
-                if (comma == std::string::npos) break;
-                pos = comma + 1;
-            }
-        }
-    }
-
-    // Validate every name up front: a typo late in the list must not
-    // surface only after earlier campaigns already ran for minutes.
-    {
-        const auto& names = campaign::figures::figure_names();
-        for (const std::string& name : selected)
-            if (std::find(names.begin(), names.end(), name) == names.end()) {
+    // --figures a,b,c ("all" or empty = everything). Every name is
+    // validated up front: a typo late in the list must not surface only
+    // after earlier campaigns already ran for minutes.
+    std::vector<const campaign::figures::Figure*> selected;
+    const std::string list = ctx.cli.get("figures", "all");
+    if (list == "all" || list.empty()) {
+        for (const campaign::figures::Figure& figure :
+             campaign::figures::figure_table())
+            selected.push_back(&figure);
+    } else {
+        std::istringstream names(list);
+        for (std::string name; std::getline(names, name, ',');) {
+            if (name.empty()) continue;
+            const campaign::figures::Figure* figure =
+                campaign::figures::find_figure(name);
+            if (figure == nullptr) {
                 std::cerr << "error: unknown figure campaign: " << name
                           << " (see --list)\n";
                 return 2;
             }
+            selected.push_back(figure);
+        }
     }
 
     std::signal(SIGINT, handle_sigint);
 
     std::size_t total_hits = 0, total_misses = 0;
     bool all_completed = true;
-    for (const std::string& name : selected) {
-        campaign::CampaignSpec spec = campaign::figures::make_figure(
-            name, ctx.core_config, ctx.trials, ctx.seed);
+    for (const campaign::figures::Figure* figure : selected) {
+        campaign::CampaignSpec spec =
+            figure->make(ctx.core_config, ctx.trials, ctx.seed);
         ctx.apply_to(spec);  // --watchdog-factor / --sampling / --ci-target
         campaign::RunOptions options = ctx.campaign_options();
         options.cancelled = [] { return g_interrupted != 0; };
-        std::cout << "=== campaign " << name << " ===\n";
-        campaign::CampaignRunner runner(std::move(spec), std::move(options));
-        const campaign::CampaignResult result = runner.run();
+        std::cout << "=== campaign " << figure->name << " ===\n";
+        const campaign::CampaignResult result = campaign::figures::run_figure(
+            *figure, std::move(spec), std::move(options));
         total_hits += result.store_hits;
         total_misses += result.store_misses;
         if (!result.completed) {

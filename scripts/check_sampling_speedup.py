@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI gate for the adaptive sampling engine (ISSUE 4, sampling-speedup job).
+"""CI gate for the adaptive sampling engine (campaign-contracts job).
 
 Compares two sfi_campaign manifests of the same campaign — one run with
 the fixed-N policy, one with --sampling ci — and asserts:

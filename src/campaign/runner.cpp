@@ -527,7 +527,7 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
 
     if (options_.console && panel.print_table) {
         std::ostream& os = *options_.console;
-        // Empty title = the driver already printed its own header (via
+        // Empty title = a figure header already printed it (via
         // on_panel_start).
         if (!panel.title.empty()) os << panel.title << "\n";
         print_sweep(os, "", result.sweep, panel.error_label);

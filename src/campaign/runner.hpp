@@ -67,7 +67,7 @@ struct RunOptions {
     /// persisted). This is how tests emulate a mid-sweep kill.
     std::function<bool()> cancelled;
     /// Invoked before each MC panel executes (after its core is built) —
-    /// drivers hook their bespoke per-panel console headers here.
+    /// figures::run_figure hooks each figure's panel header here.
     std::function<void(const PanelSpec&, const CharacterizedCore&)>
         on_panel_start;
     /// Run ledger (bench --trace); null = no tracing. The runner emits

@@ -124,7 +124,8 @@ struct PoffSearchSpec {
 /// One figure panel: a sweep of points for one kernel under one model.
 struct PanelSpec {
     std::string name;   ///< CSV stem and manifest key (unique per campaign)
-    std::string title;  ///< console heading ("" = use name)
+    std::string title;  ///< console heading ("" = none, e.g. a figure
+                        ///< header printed it via on_panel_start)
     KernelSpec kernel;
     ModelSpec model;
     OperatingPoint base;       ///< coordinates not swept by the grid
@@ -157,9 +158,8 @@ struct PanelSpec {
     std::optional<PoffSearchSpec> poff;
     /// Error-metric label of the console table ("rel. error %", "MSE", ...).
     std::string error_label = "rel. error %";
-    /// Print the figure-panel table + PoFF line while running (drivers
-    /// with bespoke console output disable this and render the returned
-    /// sweep themselves).
+    /// Print the figure-panel table + PoFF line while running (figures
+    /// whose report renders the returned sweep disable this).
     bool print_table = true;
 };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #include "util/fingerprint.hpp"
 
@@ -46,6 +47,31 @@ std::uint64_t core_config_fingerprint(const CoreModelConfig& config) {
     return fp.value();
 }
 
+namespace {
+
+/// Publishes `fingerprint + cdfs` at `path` by writing a uniquely named
+/// sibling file and renaming it over the target. Concurrent writers (test
+/// suites sharing one cache file, parallel campaigns) then replace the
+/// file whole, so a reader sees some writer's complete file — never a
+/// torn or interleaved one whose fingerprint belongs to another payload.
+/// Best effort, like the cache itself: any failure leaves no temp file.
+void write_cache_atomically(const std::string& path, std::uint64_t fingerprint,
+                            const TimingErrorCdfs& cdfs) {
+    std::random_device entropy;
+    const std::string tmp =
+        path + ".tmp" +
+        std::to_string((std::uint64_t{entropy()} << 32) | entropy());
+    std::ofstream os(tmp, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(&fingerprint), sizeof fingerprint);
+    cdfs.save(os);
+    os.close();
+    std::error_code ec;
+    if (os) std::filesystem::rename(tmp, path, ec);
+    if (!os || ec) std::filesystem::remove(tmp, ec);
+}
+
+}  // namespace
+
 CharacterizedCore::CharacterizedCore(CoreModelConfig config,
                                      perf::PhaseProfile* profile)
     : config_(std::move(config)),
@@ -74,14 +100,8 @@ CharacterizedCore::CharacterizedCore(CoreModelConfig config,
     if (!loaded) {
         const DtaResult dta = run_dta(alu_, timing_, config_.dta, profile);
         cdfs_ = std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::from_dta(dta));
-        if (!config_.cdf_cache_path.empty()) {
-            std::ofstream os(config_.cdf_cache_path, std::ios::binary);
-            if (os) {
-                os.write(reinterpret_cast<const char*>(&fingerprint),
-                         sizeof fingerprint);
-                cdfs_->save(os);
-            }
-        }
+        if (!config_.cdf_cache_path.empty())
+            write_cache_atomically(config_.cdf_cache_path, fingerprint, *cdfs_);
     }
 }
 

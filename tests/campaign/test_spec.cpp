@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+
 #include "campaign/figures.hpp"
 
 namespace sfi::campaign {
@@ -177,10 +180,61 @@ TEST(FigureFactories, DescribeTheHistoricalPanels) {
     ASSERT_TRUE(adder.panels[1].core_override.has_value());
     EXPECT_EQ(adder.panels[1].core_override->alu.adder, AdderKind::RippleCarry);
 
-    EXPECT_EQ(figures::figure_names().size(), 10u);
-    for (const std::string& name : figures::figure_names())
-        EXPECT_NO_THROW(figures::make_figure(name, core)) << name;
+    // The figure table: unique names, each building a spec of that name,
+    // and console presentation wherever the runner prints nothing itself —
+    // panels with print_table off (and CDF panels) need a report, untitled
+    // panels need a header.
+    const std::vector<figures::Figure>& table = figures::figure_table();
+    EXPECT_EQ(table.size(), 10u);
+    std::set<std::string> names;
+    for (const figures::Figure& figure : table) {
+        EXPECT_TRUE(names.insert(figure.name).second) << figure.name;
+        EXPECT_EQ(figures::find_figure(figure.name), &figure);
+        EXPECT_TRUE(figure.header != nullptr || figure.report != nullptr)
+            << figure.name;
+        CampaignSpec spec;
+        ASSERT_NO_THROW(spec = figures::make_figure(figure.name, core))
+            << figure.name;
+        EXPECT_EQ(spec.name, figure.name);
+        if (!spec.cdf_panels.empty()) {
+            EXPECT_NE(figure.report, nullptr) << figure.name;
+        }
+        for (const PanelSpec& panel : spec.panels) {
+            if (!panel.print_table) {
+                EXPECT_NE(figure.report, nullptr) << panel.name;
+            } else if (panel.title.empty()) {
+                EXPECT_NE(figure.header, nullptr) << panel.name;
+            }
+        }
+    }
+    EXPECT_EQ(figures::find_figure("fig99"), nullptr);
     EXPECT_THROW(figures::make_figure("fig99", core), std::invalid_argument);
+}
+
+// A cancelled campaign may hold partial panels, which a report would
+// index past; run_figure must print reports only for completed runs.
+TEST(FigureFactories, ReportsRunOnlyOnCompletedCampaigns) {
+    static int reports = 0;
+    const figures::Figure figure = {
+        "probe", nullptr, nullptr,
+        [](std::ostream&, CampaignRunner&, const CampaignResult&) {
+            ++reports;
+        }};
+    std::ostringstream console;
+
+    RunOptions cancelled;
+    cancelled.console = &console;
+    cancelled.cancelled = [] { return true; };
+    EXPECT_FALSE(figures::run_figure(figure, tiny_spec(), cancelled).completed);
+    EXPECT_EQ(reports, 0);
+
+    // Control: a campaign with nothing to run completes and reports.
+    RunOptions plain;
+    plain.console = &console;
+    CampaignSpec empty = tiny_spec();
+    empty.panels.clear();
+    EXPECT_TRUE(figures::run_figure(figure, empty, plain).completed);
+    EXPECT_EQ(reports, 1);
 }
 
 }  // namespace

@@ -7,9 +7,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace sfi {
@@ -104,6 +110,84 @@ TEST_F(CdfCacheTest, CorruptPayloadFallsBackToCharacterization) {
         .write(cached.data(), 16);
     const CharacterizedCore second(config());
     EXPECT_TRUE(*second.cdfs() == *first.cdfs());
+}
+
+// Writers of different configurations racing on one cache file (parallel
+// ctest suites share a cache path). Every construction — cache hit or
+// fresh characterization — must reproduce its own configuration's store,
+// so no reader ever accepts a payload published under another
+// fingerprint; and a watcher reading the file throughout must only ever
+// find one writer's complete file, never a truncated or interleaved one.
+TEST_F(CdfCacheTest, ConcurrentWritersNeverTearTheFile) {
+    std::array<CoreModelConfig, 2> configs = {config(), config()};
+    configs[1].dta.seed ^= 0x5eedULL;
+    std::array<std::string, 2> expected;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        CoreModelConfig uncached = configs[i];
+        uncached.cdf_cache_path.clear();
+        std::ostringstream os;
+        CharacterizedCore(uncached).cdfs()->save(os);
+        expected[i] = os.str();
+    }
+    ASSERT_NE(expected[0], expected[1]);
+
+    const auto whole_file = [&](const std::string& bytes) {
+        if (bytes.size() < 8) return false;
+        std::uint64_t stored = 0;
+        std::memcpy(&stored, bytes.data(), sizeof stored);
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            if (stored == core_config_fingerprint(configs[i]) &&
+                bytes.compare(8, std::string::npos, expected[i]) == 0)
+                return true;
+        return false;
+    };
+
+    std::atomic<bool> done{false};
+    std::size_t reads = 0, torn = 0;
+    std::thread watcher([&] {
+        while (!done.load()) {
+            std::ifstream is(cache_path_, std::ios::binary);
+            if (!is) continue;  // not published yet
+            const std::string bytes{std::istreambuf_iterator<char>(is),
+                                    std::istreambuf_iterator<char>()};
+            ++reads;
+            if (!whole_file(bytes)) ++torn;
+        }
+    });
+
+    // Two threads per configuration: each construction that finds the
+    // other configuration's file recharacterizes and republishes.
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kRounds = 2;
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t round = 0; round < kRounds; ++round) {
+                const CharacterizedCore core(configs[t % 2]);
+                std::ostringstream os;
+                core.cdfs()->save(os);
+                if (os.str() != expected[t % 2]) ++mismatches;
+            }
+        });
+    for (std::thread& thread : threads) thread.join();
+    done = true;
+    watcher.join();
+
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_GT(reads, 0u);
+    EXPECT_EQ(torn, 0u) << "of " << reads << " reads";
+    std::ifstream is(cache_path_, std::ios::binary);
+    EXPECT_TRUE(whole_file({std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>()}));
+
+    // Every temp file was renamed into place.
+    const fs::path cache(cache_path_);
+    for (const auto& entry : fs::directory_iterator(cache.parent_path()))
+        EXPECT_NE(entry.path().filename().string().rfind(
+                      cache.filename().string() + ".tmp", 0),
+                  0u)
+            << entry.path();
 }
 
 }  // namespace
