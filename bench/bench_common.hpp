@@ -3,7 +3,7 @@
 // Every bench accepts:
 //   --trials N       Monte-Carlo trials per data point (default varies)
 //   --threads N      MC worker threads per data point (default 0 = one per
-//                    hardware thread; results are bit-identical at any N)
+//                    CPU in the affinity mask; results are bit-identical at any N)
 //   --dta-cycles N   DTA characterization kernel length (default 8192)
 //   --seed S         Monte-Carlo base seed
 //   --watchdog-factor F  watchdog limit as a multiple of the fault-free

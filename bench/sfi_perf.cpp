@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
 
     const std::string out_path = ctx.cli.get("out", "BENCH_core.json");
     // Ceiling of the scaling ladder: --max-threads, else --threads
-    // (0 = one per hardware thread, like McConfig::threads).
+    // (0 = one per CPU in the affinity mask, like McConfig::threads).
     const std::size_t max_threads = resolve_thread_count(
         static_cast<std::size_t>(ctx.checked_uint("max-threads", ctx.threads)));
     const BenchmarkId bench_id =

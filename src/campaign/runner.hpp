@@ -53,7 +53,7 @@ struct RunOptions {
     /// when csv_dir is set, else no manifest.
     std::string manifest_path;
     /// MC worker threads per point (McConfig::threads semantics: 0 = one
-    /// per hardware thread, 1 = serial; bit-identical at any value).
+    /// per CPU in the affinity mask, 1 = serial; bit-identical at any value).
     std::size_t threads = 1;
     /// CPU execution engine for every ISS run (McConfig::dispatch).
     /// Bit-identical results either way, so this is a volatile run

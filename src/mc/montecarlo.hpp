@@ -42,8 +42,8 @@ struct McConfig {
     /// it on otherwise.
     bool zero_fault_fast_path = true;
     /// Worker threads for run_point (and therefore the sweep drivers):
-    /// 1 = serial on the caller's model, 0 = one worker per hardware
-    /// thread, N = exactly N workers. Every setting produces a
+    /// 1 = serial on the caller's model, 0 = one worker per CPU in the
+    /// affinity mask, N = exactly N workers. Every setting produces a
     /// bit-identical PointSummary — trials share no mutable state
     /// (src/mc/parallel.hpp gives each worker its own Cpu/Memory/cloned
     /// model) and outcomes are aggregated in trial-index order. Only the

@@ -43,9 +43,9 @@ namespace sfi::sampling {
 /// sweeps do not pay a model clone per batch.
 class BatchedExecutor {
 public:
-    /// `threads` has McConfig::threads semantics (0 = one worker per
-    /// hardware thread, 1 = serial); the summaries are bit-identical at
-    /// any value.
+    /// `threads` has McConfig::threads semantics (0 = one worker per CPU
+    /// in the affinity mask, 1 = serial); the summaries are bit-identical
+    /// at any value.
     BatchedExecutor(const MonteCarloRunner& runner, std::size_t threads);
 
     /// Runs the `count` trials following summary.trials at `point` and

@@ -9,6 +9,7 @@
 // with v_f the number of cycles whose arrival (+ setup) exceeds 1/f.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,10 +46,30 @@ struct DtaResult {
     double worst_arrival_ps = 0.0;  ///< max over classes
 };
 
-/// Characterizes every instruction class of `alu`. When `profile` is
-/// non-null it receives one Phase::DtaEval record per class (items =
-/// kernel cycles) and the aggregated Phase::EventSimSettle cost of the
-/// settle loop inside each class.
+/// Cycles per DTA task. Each class's kernel is cut into chunks of this
+/// many cycles; a chunk starts from a fresh initialize() at the operands
+/// of the cycle just before it, which reproduces the uninterrupted kernel
+/// exactly (the EventSim restart invariant), so results do not depend on
+/// the chunk size or on how many workers run the chunks.
+inline constexpr std::size_t kDtaChunkCycles = 256;
+
+/// Characterizes `classes` (results in the same order) on `workers`
+/// threads; 0 = one per CPU in the caller's affinity mask
+/// (resolve_thread_count). Operands are drawn up front per class, in the
+/// serial kernel's RNG order; (class, chunk) tasks then run largest cone
+/// first. Results are bit-identical for every worker count. When
+/// `profile` is non-null it receives, from the calling thread only, one
+/// Phase::DtaEval and one Phase::EventSimSettle record per class (items =
+/// kernel cycles, seconds summed over that class's chunks).
+std::vector<DtaClassResult> run_dta_classes(const Alu& alu,
+                                            const InstanceTiming& timing,
+                                            const std::vector<ExClass>& classes,
+                                            const DtaConfig& config = {},
+                                            std::size_t workers = 0,
+                                            perf::PhaseProfile* profile = nullptr);
+
+/// Characterizes every instruction class of `alu` with the automatic
+/// worker count (see run_dta_classes for the profile records).
 DtaResult run_dta(const Alu& alu, const InstanceTiming& timing,
                   const DtaConfig& config = {},
                   perf::PhaseProfile* profile = nullptr);

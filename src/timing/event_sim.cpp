@@ -11,40 +11,47 @@ namespace sfi {
 
 EventSim::EventSim(const Netlist& netlist, const InstanceTiming& timing,
                    std::map<std::string, std::uint64_t> fixed_inputs,
-                   std::string watch_bus, EventSimConfig config)
-    : netlist_(&netlist), fixed_inputs_(std::move(fixed_inputs)) {
+                   std::string watch_bus, EventSimConfig config) {
     const std::size_t count = netlist.cell_count();
-    value_.assign(count, 0);
-    pending_valid_.assign(count, 0);
-    pending_value_.assign(count, 0);
-    seq_.assign(count, 0);
-    rise_fs_.resize(count);
-    fall_fs_.resize(count);
+    const NetId sentinel = static_cast<NetId>(count);
+    gates_.resize(count);
+    delay_fs_.resize(count);
     for (NetId id = 0; id < count; ++id) {
-        rise_fs_[id] = std::llround(timing.rise_ps(id) * 1000.0);
-        fall_fs_[id] = std::llround(timing.fall_ps(id) * 1000.0);
+        const Cell& cell = netlist.cell(id);
+        Gate& gate = gates_[id];
+        for (std::size_t pin = 0; pin < 3; ++pin)
+            gate.fanin[pin] = cell.fanin[pin] == kNoNet ? sentinel : cell.fanin[pin];
+        gate.table = 0;
+        for (unsigned row = 0; row < 8; ++row)
+            if (cell_eval(cell.type, row & 1u, row & 2u, row & 4u))
+                gate.table |= static_cast<std::uint8_t>(1u << row);
+        gate.input = cell.type == CellType::Input;
+        delay_fs_[id] = {std::llround(timing.fall_ps(id) * 1000.0),
+                         std::llround(timing.rise_ps(id) * 1000.0)};
     }
+    nets_.assign(count + 1, NetState{0, 0, 0, 0});
     clk_to_q_fs_ = std::llround(
         (config.clk_to_q_ps < 0.0 ? timing.clk_to_q_ps() : config.clk_to_q_ps) *
         1000.0);
 
     // Constant-propagate the fixed inputs; only variable cells are active.
-    const auto constants = propagate_constants(netlist, fixed_inputs_);
-    is_active_.assign(count, 0);
+    const auto constants = propagate_constants(netlist, fixed_inputs);
+    std::vector<std::uint8_t> is_active(count, 0);
     for (NetId id = 0; id < count; ++id)
-        is_active_[id] = constants[id] == NetConst::Variable;
+        is_active[id] = constants[id] == NetConst::Variable;
     active_cells_ = static_cast<std::size_t>(
-        std::count(is_active_.begin(), is_active_.end(), std::uint8_t{1}));
+        std::count(is_active.begin(), is_active.end(), std::uint8_t{1}));
     // One live pending event per active cell is the steady-state load
     // (cancelled entries linger until popped, so the true peak can exceed
     // it); reserving that much up front makes settle() growth-free in the
     // common case.
     heap_.reserve(active_cells_ + 1);
 
-    // CSR fanout adjacency restricted to active sinks.
+    // CSR fanout adjacency restricted to active sinks. Edge order (sinks
+    // in id order) fixes the order propagate() schedules events in.
     std::vector<std::uint32_t> degree(count, 0);
     for (NetId id = 0; id < count; ++id) {
-        if (!is_active_[id]) continue;
+        if (!is_active[id]) continue;
         const Cell& cell = netlist.cell(id);
         const unsigned n = cell_fanin_count(cell.type);
         for (unsigned i = 0; i < n; ++i) ++degree[cell.fanin[i]];
@@ -56,7 +63,7 @@ EventSim::EventSim(const Netlist& netlist, const InstanceTiming& timing,
     std::vector<std::uint32_t> cursor(fanout_offset_.begin(),
                                       fanout_offset_.end() - 1);
     for (NetId id = 0; id < count; ++id) {
-        if (!is_active_[id]) continue;
+        if (!is_active[id]) continue;
         const Cell& cell = netlist.cell(id);
         const unsigned n = cell_fanin_count(cell.type);
         for (unsigned i = 0; i < n; ++i)
@@ -71,97 +78,88 @@ EventSim::EventSim(const Netlist& netlist, const InstanceTiming& timing,
             watch_index_[watch_nets_[bit]] = static_cast<std::int32_t>(bit);
     arrival_ps_.assign(watch_nets_.size(), 0.0);
 
-    // Register the variable input buses (everything not fixed).
+    // Split the input buses into fixed and variable (everything else).
+    for (const auto& [bus, value] : fixed_inputs)
+        fixed_.push_back({bus, netlist.input_bus(bus), value});
     for (const auto& [bus, nets] : netlist.input_buses())
-        if (!fixed_inputs_.count(bus)) staged_[bus] = {nets, 0};
+        if (!fixed_inputs.count(bus)) inputs_.push_back({bus, nets, 0});
 }
 
-void EventSim::set_input(const std::string& bus, std::uint64_t value) {
-    const auto it = staged_.find(bus);
-    if (it == staged_.end())
-        throw std::invalid_argument("EventSim: unknown or fixed input bus " + bus);
-    it->second.second = value;
+EventSim::BusHandle EventSim::input_handle(const std::string& bus) const {
+    for (BusHandle handle = 0; handle < inputs_.size(); ++handle)
+        if (inputs_[handle].name == bus) return handle;
+    throw std::invalid_argument("EventSim: unknown or fixed input bus " + bus);
 }
 
-bool EventSim::eval_cell(NetId id) const {
-    const Cell& cell = netlist_->cell(id);
-    const bool a = cell.fanin[0] != kNoNet && value_[cell.fanin[0]];
-    const bool b = cell.fanin[1] != kNoNet && value_[cell.fanin[1]];
-    const bool c = cell.fanin[2] != kNoNet && value_[cell.fanin[2]];
-    return cell_eval(cell.type, a, b, c);
+std::uint8_t EventSim::eval(const Gate& gate) const {
+    const unsigned row = nets_[gate.fanin[0]].value |
+                         nets_[gate.fanin[1]].value << 1 |
+                         nets_[gate.fanin[2]].value << 2;
+    return (gate.table >> row) & 1u;
 }
 
 void EventSim::initialize() {
-    // Re-establish the steady state in the persistent value buffer — no
-    // per-call allocation, so re-initializing a simulator (DTA warm
-    // restarts, multi-seed characterization) reuses the settle buffers.
-    std::fill(value_.begin(), value_.end(), 0);
-    for (const auto& [bus, value] : fixed_inputs_) {
-        const auto& nets = netlist_->input_bus(bus);
-        for (std::size_t bit = 0; bit < nets.size(); ++bit)
-            if (nets[bit] != kNoNet) value_[nets[bit]] = (value >> bit) & 1u;
-    }
-    for (const auto& [bus, staged] : staged_) {
-        const auto& [nets, value] = staged;
-        for (std::size_t bit = 0; bit < nets.size(); ++bit)
-            if (nets[bit] != kNoNet) value_[nets[bit]] = (value >> bit) & 1u;
-    }
-    netlist_->eval_into(value_);
-    std::fill(pending_valid_.begin(), pending_valid_.end(), 0);
+    // Re-establish the steady state in the persistent net buffer — no
+    // per-call allocation, so re-initializing a simulator (chunked DTA,
+    // multi-seed characterization) reuses the settle buffers.
+    std::fill(nets_.begin(), nets_.end(), NetState{0, 0, 0, 0});
+    for (const auto* buses : {&fixed_, &inputs_})
+        for (const InputBus& bus : *buses)
+            for (std::size_t bit = 0; bit < bus.nets.size(); ++bit)
+                if (bus.nets[bit] != kNoNet)
+                    nets_[bus.nets[bit]].value = (bus.value >> bit) & 1u;
+    for (NetId id = 0; id < gates_.size(); ++id)
+        if (!gates_[id].input) nets_[id].value = eval(gates_[id]);
     heap_.clear();
     initialized_ = true;
 }
 
-void EventSim::schedule_input_change(NetId net, bool value) {
-    if (value_[net] == static_cast<std::uint8_t>(value)) return;
-    ++seq_[net];
-    pending_valid_[net] = 1;
-    pending_value_[net] = value;
-    heap_.push_back(Event{clk_to_q_fs_, net, static_cast<std::uint8_t>(value),
-                          seq_[net]});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+void EventSim::schedule(NetId net, std::uint8_t value, std::int64_t time_fs) {
+    NetState& state = nets_[net];
+    ++state.seq;
+    state.pending = 1;
+    state.pending_value = value;
+    heap_.push_back(Event{time_fs, net, state.seq});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventSim::propagate(NetId net, std::int64_t now_fs) {
     for (std::uint32_t e = fanout_offset_[net]; e < fanout_offset_[net + 1]; ++e) {
-        const NetId gate = fanout_edges_[e];
-        const bool target = eval_cell(gate);
+        const NetId id = fanout_edges_[e];
+        const std::uint8_t target = eval(gates_[id]);
+        NetState& state = nets_[id];
         const std::uint8_t effective =
-            pending_valid_[gate] ? pending_value_[gate] : value_[gate];
-        if (static_cast<std::uint8_t>(target) == effective) continue;
-        if (static_cast<std::uint8_t>(target) == value_[gate]) {
+            state.pending ? state.pending_value : state.value;
+        if (target == effective) continue;
+        if (target == state.value) {
             // Inertial cancellation: the pending pulse never happens.
-            ++seq_[gate];
-            pending_valid_[gate] = 0;
+            ++state.seq;
+            state.pending = 0;
             continue;
         }
-        ++seq_[gate];
-        pending_valid_[gate] = 1;
-        pending_value_[gate] = target;
-        const std::int64_t delay = target ? rise_fs_[gate] : fall_fs_[gate];
-        heap_.push_back(Event{now_fs + delay, gate,
-                              static_cast<std::uint8_t>(target), seq_[gate]});
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        schedule(id, target, now_fs + delay_fs_[id][target]);
     }
 }
 
 const std::vector<double>& EventSim::settle() {
     assert(initialized_ && "EventSim::initialize() must be called first");
     std::fill(arrival_ps_.begin(), arrival_ps_.end(), 0.0);
-    for (const auto& [bus, staged] : staged_) {
-        const auto& [nets, value] = staged;
-        for (std::size_t bit = 0; bit < nets.size(); ++bit)
-            if (nets[bit] != kNoNet)
-                schedule_input_change(nets[bit], (value >> bit) & 1u);
-    }
+    for (const InputBus& bus : inputs_)
+        for (std::size_t bit = 0; bit < bus.nets.size(); ++bit) {
+            const NetId net = bus.nets[bit];
+            if (net == kNoNet) continue;
+            const std::uint8_t value = (bus.value >> bit) & 1u;
+            if (nets_[net].value != value) schedule(net, value, clk_to_q_fs_);
+        }
     while (!heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
         const Event ev = heap_.back();
         heap_.pop_back();
-        if (ev.seq != seq_[ev.net]) continue;  // cancelled
-        pending_valid_[ev.net] = 0;
-        if (value_[ev.net] == ev.value) continue;
-        value_[ev.net] = ev.value;
+        NetState& state = nets_[ev.net];
+        if (ev.seq != state.seq) continue;  // cancelled
+        state.pending = 0;
+        if (state.value == state.pending_value) continue;
+        state.value = state.pending_value;
         ++total_events_;
         const std::int32_t w = watch_index_[ev.net];
         if (w >= 0)
@@ -174,7 +172,7 @@ const std::vector<double>& EventSim::settle() {
 
 bool EventSim::watched_value(std::size_t bit) const {
     const NetId net = watch_nets_.at(bit);
-    return net != kNoNet && value_[net];
+    return net != kNoNet && nets_[net].value;
 }
 
 }  // namespace sfi

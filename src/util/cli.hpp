@@ -43,7 +43,7 @@ public:
     double get_positive_double(const std::string& name, double def) const;
 
     /// The shared `--threads` parser for McConfig::threads: non-negative
-    /// worker count, where 0 means one worker per hardware thread.
+    /// worker count, where 0 means one worker per CPU in the affinity mask.
     /// Negative values would wrap std::size_t to a huge count, so they are
     /// clamped to 0 (= auto) in this one place.
     std::size_t get_threads(std::size_t def = 0) const;

@@ -14,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <cstdlib>
 #include <mutex>
@@ -480,6 +484,28 @@ TEST(TrialPool, ResolveThreadCount) {
     EXPECT_EQ(resolve_thread_count(1), 1u);
     EXPECT_EQ(resolve_thread_count(6), 6u);
 }
+
+#if defined(__linux__)
+TEST(TrialPool, AutoThreadCountFollowsTheAffinityMask) {
+    // `taskset -c 0 ... --threads 0` must get one worker, not one per
+    // host CPU queued on a single CPU.
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+    EXPECT_EQ(resolve_thread_count(0),
+              static_cast<std::size_t>(CPU_COUNT(&saved)));
+    int first = 0;
+    while (!CPU_ISSET(first, &saved)) ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    const std::size_t pinned = resolve_thread_count(0);
+    ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(resolve_thread_count(3), 3u);  // explicit counts stay literal
+}
+#endif
 
 }  // namespace
 }  // namespace sfi
