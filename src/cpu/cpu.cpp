@@ -76,11 +76,9 @@ void Cpu::reset(const Program& program) {
     // Invalidate by generation bump: O(1) per reset instead of re-zeroing
     // one DecodeEntry per memory word (a multi-MB fill that used to
     // dominate short Monte-Carlo trials). Entries are lazily re-decoded on
-    // first fetch because their stamp no longer matches.
-    if (decode_cache_.size() != mem_.size() / 4) {
-        decode_cache_.assign(mem_.size() / 4, DecodeEntry{});
-        decode_gen_ = 0;
-    }
+    // first fetch because their stamp no longer matches. The cache itself
+    // is allocated by the first fetch_decoded(), i.e. only under legacy
+    // dispatch: the threaded interpreter never reads it.
     if (++decode_gen_ == 0) {
         // Stamp rollover: 0 must stay the permanent "invalid" stamp, so
         // wipe every entry back to it and restart at 1 (unreachable in
@@ -103,6 +101,9 @@ const Instr* Cpu::fetch_decoded(std::uint32_t pc, bool& illegal) {
     illegal = false;
     if (pc % 4 != 0 || pc + 4 > mem_.size()) return nullptr;
     const std::uint32_t word = pc / 4;
+    // Fresh entries carry the permanent "invalid" stamp 0, so allocating
+    // here needs no generation change.
+    if (decode_cache_.empty()) decode_cache_.assign(mem_.size() / 4, DecodeEntry{});
     DecodeEntry& entry = decode_cache_[word];
     if (entry.gen != decode_gen_) {
         const auto decoded = decode(mem_.read_u32(pc));

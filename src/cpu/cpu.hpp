@@ -182,6 +182,9 @@ public:
     void debug_set_decode_generation(std::uint64_t gen) { decode_gen_ = gen; }
     std::uint32_t debug_interp_generation() const;  // 0: no stream yet
     void debug_set_interp_generation(std::uint32_t gen);
+    /// Entries of the legacy per-word decode cache (0 until the legacy
+    /// engine first fetches).
+    std::size_t debug_decode_cache_entries() const { return decode_cache_.size(); }
 
 private:
     struct DecodeEntry {
@@ -253,10 +256,12 @@ private:
     std::uint64_t reset_program_hash_ = 0;
     std::uint64_t reset_program_sig_ = 0;
 
-    // Decode cache (one entry per word), invalidated by data stores and
-    // wholesale (generation bump) by reset().
+    // Legacy-dispatch decode cache (one entry per word, ~6 MB for the
+    // default memory), allocated by the first fetch_decoded() and
+    // invalidated by data stores and wholesale (generation bump) by
+    // reset().
     std::vector<DecodeEntry> decode_cache_;
-    std::uint64_t decode_gen_ = 0;
+    std::uint64_t decode_gen_ = 1;
     // Inclusive word span holding entries stamped at decode_gen_ (empty
     // when lo > hi). Lets the store path skip the cache when the target
     // was never decoded this generation — see invalidate_decode().

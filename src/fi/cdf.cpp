@@ -1,6 +1,7 @@
 #include "fi/cdf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
@@ -14,6 +15,33 @@ constexpr std::uint32_t kVersion = 1;
 template <typename T>
 void put(std::ostream& os, const T& v) {
     os.write(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// Offset of the end of `is`, or -1 when the stream cannot seek (its reads
+/// still fail on truncation, just after sizing).
+std::streamoff stream_end(std::istream& is) {
+    const std::streamoff here = is.tellg();
+    if (here < 0 || !is.seekg(0, std::ios::end)) {
+        is.clear();
+        return -1;
+    }
+    const std::streamoff end = is.tellg();
+    is.seekg(here);
+    return end;
+}
+
+/// True when `arrivals` ascends and holds no NaN or infinity. A NaN fails
+/// its neighbour comparison and a sorted run can hold infinities only at
+/// its ends. OR-ing the comparisons instead of branching lets the loop
+/// vectorize, which keeps the check cheap next to the read itself.
+bool sorted_and_finite(const std::vector<float>& arrivals) {
+    if (arrivals.empty()) return true;
+    const float* a = arrivals.data();
+    std::uint32_t descent = 0;
+    for (std::size_t k = 1; k < arrivals.size(); ++k)
+        descent |= !(a[k - 1] <= a[k]);
+    return descent == 0 && std::isfinite(arrivals.front()) &&
+           std::isfinite(arrivals.back());
 }
 
 template <typename T>
@@ -77,17 +105,29 @@ bool TimingErrorCdfs::has_class(ExClass cls) const {
 
 double TimingErrorCdfs::violation_prob(ExClass cls, std::size_t endpoint,
                                        double capture_window_ps) const {
-    const PerClass& pc = per_class(cls);
-    const auto& samples = pc.sorted_arrivals.at(endpoint);
-    if (samples.empty()) return 0.0;
+    const std::size_t samples = endpoint_sample_count(cls, endpoint);
+    if (samples == 0) return 0.0;
+    // Model C's memoized walk (fi/models.cpp) divides the same two
+    // integers, so both paths compare rng_.chance against the same double.
+    return static_cast<double>(violation_count(cls, endpoint, capture_window_ps)) /
+           static_cast<double>(samples);
+}
+
+std::size_t TimingErrorCdfs::violation_count(ExClass cls, std::size_t endpoint,
+                                             double capture_window_ps) const {
+    const auto& samples = per_class(cls).sorted_arrivals.at(endpoint);
     const double threshold = capture_window_ps - setup_ps_;
     // Violated samples are those with arrival > threshold.
     const auto it = std::upper_bound(samples.begin(), samples.end(), threshold,
                                      [](double t, float s) {
                                          return t < static_cast<double>(s);
                                      });
-    return static_cast<double>(samples.end() - it) /
-           static_cast<double>(samples.size());
+    return static_cast<std::size_t>(samples.end() - it);
+}
+
+std::size_t TimingErrorCdfs::endpoint_sample_count(ExClass cls,
+                                                   std::size_t endpoint) const {
+    return per_class(cls).sorted_arrivals.at(endpoint).size();
 }
 
 double TimingErrorCdfs::class_max_window_ps(ExClass cls) const {
@@ -137,22 +177,49 @@ TimingErrorCdfs TimingErrorCdfs::load(std::istream& is) {
         throw std::runtime_error("TimingErrorCdfs: unsupported version");
     TimingErrorCdfs store;
     store.setup_ps_ = get<double>(is);
-    store.endpoints_ = static_cast<std::size_t>(get<std::uint64_t>(is));
-    store.samples_ = static_cast<std::size_t>(get<std::uint64_t>(is));
+    if (!std::isfinite(store.setup_ps_))
+        throw std::runtime_error("TimingErrorCdfs: non-finite setup time");
+    const auto endpoints_max = get<std::uint64_t>(is);
+    const auto samples = get<std::uint64_t>(is);
+    // Every endpoint needs its 8-byte count and `samples` floats, so no
+    // valid count exceeds what is left of the stream. Checked here, before
+    // anything is sized from them, a flipped count fails at once instead
+    // of zero-filling gigabytes first; the per-class and per-endpoint
+    // counts below must then match these two.
+    if (const std::streamoff end = stream_end(is); end >= 0) {
+        const auto left = static_cast<std::uint64_t>(end - is.tellg());
+        if (endpoints_max > left / sizeof(std::uint64_t) ||
+            samples > left / sizeof(float))
+            throw std::runtime_error("TimingErrorCdfs: counts exceed the stream");
+    }
+    std::uint64_t endpoints_seen = 0;
     for (std::size_t c = 0; c < store.classes_.size(); ++c) {
         PerClass& pc = store.classes_[c];
-        pc.present = get<std::uint8_t>(is) != 0;
+        const auto present = get<std::uint8_t>(is);
+        if (present > 1) throw std::runtime_error("TimingErrorCdfs: bad class flag");
+        pc.present = present != 0;
         if (!pc.present) continue;
         const auto endpoints = get<std::uint64_t>(is);
+        if (endpoints > endpoints_max)
+            throw std::runtime_error("TimingErrorCdfs: bad endpoint count");
+        endpoints_seen = std::max(endpoints_seen, endpoints);
         pc.sorted_arrivals.resize(endpoints);
-        for (auto& samples : pc.sorted_arrivals) {
+        for (auto& arrivals : pc.sorted_arrivals) {
             const auto n = get<std::uint64_t>(is);
-            samples.resize(n);
-            is.read(reinterpret_cast<char*>(samples.data()),
+            if (n != samples)
+                throw std::runtime_error("TimingErrorCdfs: bad sample count");
+            arrivals.resize(n);
+            is.read(reinterpret_cast<char*>(arrivals.data()),
                     static_cast<std::streamsize>(n * sizeof(float)));
             if (!is) throw std::runtime_error("TimingErrorCdfs: truncated samples");
+            if (!sorted_and_finite(arrivals))
+                throw std::runtime_error("TimingErrorCdfs: unsorted or non-finite arrivals");
         }
     }
+    if (endpoints_seen != endpoints_max)
+        throw std::runtime_error("TimingErrorCdfs: header endpoint count mismatch");
+    store.endpoints_ = static_cast<std::size_t>(endpoints_max);
+    store.samples_ = static_cast<std::size_t>(samples);
     store.rebuild_derived();
     return store;
 }

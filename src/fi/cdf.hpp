@@ -39,9 +39,16 @@ public:
     double setup_ps() const { return setup_ps_; }
     std::size_t samples_per_endpoint() const { return samples_; }
 
-    /// P[arrival + setup > capture_window_ps] for one endpoint.
+    /// P[arrival + setup > capture_window_ps] for one endpoint:
+    /// violation_count / endpoint_sample_count (0 for an empty endpoint).
     double violation_prob(ExClass cls, std::size_t endpoint,
                           double capture_window_ps) const;
+    /// Number of samples with arrival + setup > capture_window_ps.
+    std::size_t violation_count(ExClass cls, std::size_t endpoint,
+                                double capture_window_ps) const;
+    /// Number of arrival samples of one endpoint (samples_per_endpoint()
+    /// for every store load() accepts).
+    std::size_t endpoint_sample_count(ExClass cls, std::size_t endpoint) const;
 
     /// Worst arrival + setup over all endpoints of `cls` (ps @ Vref):
     /// the class is error-free whenever the capture window exceeds this.
@@ -57,6 +64,14 @@ public:
 
     // ---- persistence (binary, versioned) --------------------------------
     void save(std::ostream& os) const;
+    /// Throws std::runtime_error on anything save() cannot have written:
+    /// bad magic/version, truncation, a non-finite setup, a class with more
+    /// endpoints than the header's count (or a header count no class
+    /// reaches), an endpoint whose sample count differs from the header's
+    /// samples_per_endpoint(), header counts larger than the bytes left in
+    /// a seekable stream (checked before anything is sized), and unsorted or
+    /// non-finite arrivals. A loaded store therefore satisfies the
+    /// invariants the fault models' memoized walks rely on.
     static TimingErrorCdfs load(std::istream& is);
     void save_file(const std::string& path) const;
     static TimingErrorCdfs load_file(const std::string& path);

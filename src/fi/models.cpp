@@ -305,6 +305,23 @@ std::uint32_t ModelB::apply_leading_faults(std::size_t count,
 ModelC::ModelC(std::shared_ptr<const TimingErrorCdfs> cdfs, const VddDelayFit& fit)
     : cdfs_(std::move(cdfs)), fit_(&fit) {
     if (!cdfs_) throw std::invalid_argument("ModelC: null CDF store");
+    if (cdfs_->endpoint_count() >= WalkMemo::kStale)
+        throw std::invalid_argument("ModelC: too many endpoints per class");
+    // Hoist the per-class store lookups: corrupt() runs once per ALU op,
+    // and the store is immutable, so resolve the class dispatch to plain
+    // array loads here.
+    for (std::size_t i = 0; i < kExClassCount; ++i) {
+        const ExClass cls = static_cast<ExClass>(i);
+        ClassView& view = class_view_[i];
+        view.present = cdfs_->has_class(cls);
+        if (!view.present) continue;
+        view.max_window_ps = cdfs_->class_max_window_ps(cls);
+        view.order = &cdfs_->endpoints_by_criticality(cls);
+        for (const std::uint32_t endpoint : *view.order)
+            view.samples.push_back(static_cast<double>(
+                cdfs_->endpoint_sample_count(cls, endpoint)));
+    }
+    memo_ = WalkMemo(cdfs_->endpoint_count());
     operating_point_changed();
 }
 
@@ -325,19 +342,7 @@ void ModelC::operating_point_changed() {
             : *std::min_element(noise_window_table_.begin(),
                                 noise_window_table_.end());
     vdd_noise_ = VddNoise(point_.noise);
-    // Hoist the per-class store lookups: corrupt() runs once per ALU op,
-    // and the store is immutable, so resolve the class dispatch to plain
-    // array loads here. (Rebuilt per point only because this hook is the
-    // one refresh point; the views themselves are point-independent.)
-    for (std::size_t i = 0; i < kExClassCount; ++i) {
-        const ExClass cls = static_cast<ExClass>(i);
-        ClassView& view = class_view_[i];
-        view.present = cdfs_->has_class(cls);
-        if (view.present) {
-            view.max_window_ps = cdfs_->class_max_window_ps(cls);
-            view.order = &cdfs_->endpoints_by_criticality(cls);
-        }
-    }
+    memo_.invalidate();  // every row's window moved with the point
     refresh_sampling();
 }
 
@@ -364,23 +369,26 @@ double ModelC::first_fault_frequency_mhz(ExClass cls) const {
 std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
     // Step 1 (Fig. 3): derive the capture window at Vref from clock
     // frequency, supply voltage and this cycle's noise draw — taken from
-    // the prefetched index batch unless in scalar reference mode.
+    // the prefetched index batch unless in scalar reference mode. `row`
+    // names the window for the walk memo; the noise-free window has a row
+    // of its own.
     double window = base_window_ps_;
+    std::size_t row = kNoiseTableEntries;
     bool batched_draw = false;
     if (!noise_window_table_.empty()) {
         if (sampling_mode_ == FaultSamplingMode::Scalar) {
             const double n = vdd_noise_.draw(rng_);
-            window = noise_window_table_[noise_table_index(
-                noise_clip_v_, n, noise_window_table_.size())];
+            row = noise_table_index(noise_clip_v_, n, noise_window_table_.size());
         } else {
-            window = noise_window_table_[batch_.next_index(rng_)];
+            row = batch_.next_index(rng_);
             batched_draw = true;
         }
+        window = noise_window_table_[row];
     }
     // Step 2+3: evaluate the instruction's endpoint CDFs at the scaled
     // window and inject per-endpoint Bernoulli faults. The class dispatch
-    // goes through the hoisted views (operating_point_changed), not the
-    // store's checked accessors.
+    // goes through the hoisted views (constructor), not the store's
+    // checked accessors.
     const ClassView& view = class_view_[static_cast<std::size_t>(ev.cls)];
     if (!view.present)  // preserve the store's "class not characterized" throw
         (void)cdfs_->class_max_window_ps(ev.cls);
@@ -391,8 +399,28 @@ std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
     // them (bit-identity); quantized mode has no such contract and simply
     // continues from the current generator state.
     if (batched_draw && batch_.exact()) batch_.resync(rng_);
+    if (sampling_mode_ == FaultSamplingMode::Scalar)
+        return direct_walk(ev, window, correct);
+    // The memoized walk: the same endpoints in the same order, and each
+    // p = count / samples is the very double violation_prob returns, so
+    // every rng_.chance(p) draws and decides exactly as the direct walk.
+    const std::size_t memo_row = WalkMemo::row(ev.cls, row);
+    std::uint8_t length = memo_.length(memo_row);
+    if (length == WalkMemo::kStale) length = fill_walk(ev.cls, window, memo_row);
+    const std::uint32_t* counts = memo_.counts(memo_row);
     std::uint32_t result = correct;
-    for (const std::uint32_t endpoint : *view.order) {
+    for (std::size_t k = 0; k < length; ++k) {
+        if (counts[k] != 0 &&
+            rng_.chance(static_cast<double>(counts[k]) / view.samples[k]))
+            result = apply_fault(result, (*view.order)[k], ev.prev_result);
+    }
+    return result;
+}
+
+std::uint32_t ModelC::direct_walk(const ExEvent& ev, double window,
+                                  std::uint32_t correct) {
+    std::uint32_t result = correct;
+    for (const std::uint32_t endpoint : cdfs_->endpoints_by_criticality(ev.cls)) {
         if (cdfs_->endpoint_max_window_ps(ev.cls, endpoint) <= window)
             break;  // sorted by criticality: all remaining endpoints are safe
         const double p = cdfs_->violation_prob(ev.cls, endpoint, window);
@@ -400,6 +428,18 @@ std::uint32_t ModelC::corrupt(const ExEvent& ev, std::uint32_t correct) {
             result = apply_fault(result, endpoint, ev.prev_result);
     }
     return result;
+}
+
+std::uint8_t ModelC::fill_walk(ExClass cls, double window, std::size_t row) {
+    std::uint32_t* counts = memo_.counts(row);
+    std::uint8_t length = 0;
+    for (const std::uint32_t endpoint : cdfs_->endpoints_by_criticality(cls)) {
+        if (cdfs_->endpoint_max_window_ps(cls, endpoint) <= window) break;
+        counts[length++] = static_cast<std::uint32_t>(
+            cdfs_->violation_count(cls, endpoint, window));
+    }
+    memo_.length(row) = length;
+    return length;
 }
 
 }  // namespace sfi

@@ -16,6 +16,7 @@
 // (paper §2.1).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
@@ -32,6 +33,10 @@
 namespace sfi {
 
 class ForensicProbe;  // fi/forensics.hpp
+
+/// Entries of the noise -> capture-window table the noise-modulated models
+/// build per operating point (build_noise_window_table's default).
+inline constexpr std::size_t kNoiseTableEntries = 1025;
 
 /// Operating point of a simulation run.
 struct OperatingPoint {
@@ -92,7 +97,8 @@ public:
     /// characterization stores held by const pointer — model C's CDF store,
     /// the Vdd-delay fit — are shared between clones; model B's small
     /// STA-derived window tables are value members and are copied (~10 KB
-    /// per clone).
+    /// per clone). Model C's walk memo is not copied: each clone allocates
+    /// its own (~1.4 MB, committed only as rows fill) with every row stale.
     virtual std::unique_ptr<FaultModel> clone() const = 0;
 
     /// Sets frequency/voltage/noise; resets per-point derived state.
@@ -140,6 +146,9 @@ public:
 
     const FiStats& stats() const { return stats_; }
     void reset_stats() { stats_ = FiStats{}; }
+    /// The model's draw stream (differential tests compare generator
+    /// states against a reference stream).
+    const Rng& rng() const { return rng_; }
 
     /// Attaches a forensic probe (null detaches; null is the default and
     /// costs one pointer test per ALU op). While attached, the probe
@@ -340,7 +349,53 @@ protected:
     void sampling_mode_changed() override { refresh_sampling(); }
 
 private:
+    /// Memoized endpoint walks of the Batched and Quantized modes. The
+    /// capture window is a pure function of the noise-table row (plus one
+    /// extra row, kNoiseTableEntries, for the noise-free base window), so
+    /// per (class, row) the walk is computed once per operating point, on
+    /// first use: its length (how many leading endpoints of the criticality
+    /// order have a max window above the window) and each walked
+    /// endpoint's violation count. Storage is allocated whole on the
+    /// constructing thread and left untouched until a row fills, so a
+    /// worker's trials only commit the rows they visit. A copy allocates
+    /// its own storage and starts with every row stale.
+    class WalkMemo {
+    public:
+        static constexpr std::uint8_t kStale = 0xff;
+        static constexpr std::size_t kRowsPerClass = kNoiseTableEntries + 1;
+
+        WalkMemo() = default;
+        explicit WalkMemo(std::size_t stride)
+            : stride_(stride),
+              length_(kExClassCount * kRowsPerClass, kStale),
+              counts_(new std::uint32_t[length_.size() * stride]) {}
+        WalkMemo(const WalkMemo& other) : WalkMemo(other.stride_) {}
+        WalkMemo(WalkMemo&&) = default;
+        WalkMemo& operator=(const WalkMemo&) = delete;
+        WalkMemo& operator=(WalkMemo&&) = default;
+
+        static std::size_t row(ExClass cls, std::size_t table_row) {
+            return static_cast<std::size_t>(cls) * kRowsPerClass + table_row;
+        }
+        void invalidate() { std::fill(length_.begin(), length_.end(), kStale); }
+        std::uint8_t& length(std::size_t row) { return length_[row]; }
+        std::uint32_t* counts(std::size_t row) {
+            return counts_.get() + row * stride_;
+        }
+
+    private:
+        std::size_t stride_ = 0;  // endpoints per row
+        std::vector<std::uint8_t> length_;
+        std::unique_ptr<std::uint32_t[]> counts_;  // default-initialized
+    };
+
     void refresh_sampling();
+    /// The un-memoized walk (FaultSamplingMode::Scalar, the reference
+    /// oracle): one violation_prob per endpoint.
+    std::uint32_t direct_walk(const ExEvent& ev, double window,
+                              std::uint32_t correct);
+    /// Computes one stale memo row; returns its walk length.
+    std::uint8_t fill_walk(ExClass cls, double window, std::size_t row);
 
     std::shared_ptr<const TimingErrorCdfs> cdfs_;
     const VddDelayFit* fit_;
@@ -357,8 +412,12 @@ private:
         bool present = false;
         double max_window_ps = 0.0;
         const std::vector<std::uint32_t>* order = nullptr;
+        // Sample count of each endpoint of *order, as violation_prob's
+        // divisor: the memoized walk divides the same two integers.
+        std::vector<double> samples;
     };
     std::array<ClassView, kExClassCount> class_view_{};
+    WalkMemo memo_;
 };
 
 /// Shared helper: builds the quantized noise -> capture-window table.
@@ -366,7 +425,7 @@ private:
 /// factor(vdd + noise) expressed at Vref.
 std::vector<double> build_noise_window_table(const OperatingPoint& point,
                                              const VddDelayFit& fit,
-                                             std::size_t entries = 1025);
+                                             std::size_t entries = kNoiseTableEntries);
 
 /// Maps a concrete noise draw (volts) to a table index.
 std::size_t noise_table_index(const OperatingPoint& point, double noise_v,

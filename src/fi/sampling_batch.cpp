@@ -206,6 +206,15 @@ void NoiseIndexBatch::refill(Rng& rng) {
 }
 
 void NoiseIndexBatch::resync(Rng& rng) {
+    // An interleave means the next draws are consumed one op at a time,
+    // so the next refill starts at one draw and grows geometrically again.
+    // (Fill sizes are unobservable: normal_fill's prefix property makes
+    // every schedule hand out the same values.)
+    next_fill_ = 1;
+    // A fully consumed fill left the generator exactly where the scalar
+    // path is (normal_fill's end state equals that of as many sequential
+    // draws), so there is nothing to rewind.
+    if (pos_ == size_) return;
     // pos_ draws of the current fill have been consumed (including the
     // one that opened the interleave). Rewind to the fill snapshot and
     // replay exactly those draws — bit-identical values, so the caller's
@@ -215,8 +224,7 @@ void NoiseIndexBatch::resync(Rng& rng) {
     if (pos_ > 0) {
         rng.normal_fill(0.0, sigma_mv_, normals_.data(), pos_);
     }
-    size_ = pos_;           // the unconsumed prefetch is now stale
-    next_fill_ = kMinFill;  // interleaves cluster; refill small
+    size_ = pos_;  // the unconsumed prefetch is now stale
 }
 
 }  // namespace sfi

@@ -19,7 +19,10 @@
 //    snapshot of the Rng taken at fill time; resync() rewinds to it and
 //    replays exactly the consumed draws, leaving the generator in the
 //    state the scalar path would have — the remaining prefetch is
-//    invalidated and refilled after the interleave.
+//    invalidated, and the next refill restarts at one draw. A fill that
+//    was consumed to the end already left the generator in that state,
+//    so resync() then costs nothing: an op stream that interleaves on
+//    every op pays one draw per op, like the scalar path.
 //
 // The index conversion quantizes each clamped draw to one of the
 // `entries` window-table bins with the same IEEE double operation
@@ -148,7 +151,7 @@ public:
     /// Trial boundary (call from FaultModel::reseed): drops unconsumed
     /// draws — unobservable, the trial reseed restarts the stream — and
     /// resets the fill schedule. Fills grow geometrically from kMinFill
-    /// within a trial, so prefetched-but-discarded normals are bounded by
+    /// (from one draw after a resync) within a trial, so prefetched-but-discarded normals are bounded by
     /// the trial's own consumption (trial lengths at a faulting point are
     /// heavy-tailed; sizing fills from a *previous* trial's demand wastes
     /// whole blocks of draws after every long trial).
@@ -167,9 +170,12 @@ public:
     /// Exact-mode rollback for interleaved consumers (model C): rewinds
     /// `rng` to the fill snapshot, replays exactly the draws consumed
     /// from this fill (bit-identical values, so nothing observable
-    /// changes), and invalidates the remaining prefetch. On return the
-    /// generator state equals the scalar path's after the same draws,
-    /// and the caller may consume uniforms directly.
+    /// changes), and invalidates the remaining prefetch. When the fill
+    /// was consumed to the end (pending() == 0) `rng` is already in that
+    /// state and is left untouched. Either way the next refill is one
+    /// draw (then 2, 4, ...). On return the generator state equals the
+    /// scalar path's after the same draws, and the caller may consume
+    /// uniforms directly.
     void resync(Rng& rng);
 
     /// True when draws are bit-identical to the scalar reference

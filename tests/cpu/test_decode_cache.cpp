@@ -10,7 +10,9 @@
 //     Memory::clear() bypass the Cpu entirely and must still invalidate
 //     the threaded stream (write-generation coherence guard),
 //   * prime_decode() — priming is idempotent and never makes a stale
-//     stream trusted before a reset.
+//     stream trusted before a reset,
+//   * the legacy cache is allocated only by the legacy engine: a threaded
+//     Cpu never holds its ~6 MB.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -53,8 +55,8 @@ TEST(DecodeCache, LegacyGenerationRolloverWipesStaleEntries) {
     Cpu cpu(mem);
     cpu.set_dispatch(CpuDispatch::Legacy);
 
-    // First reset sizes the cache (and restarts the stamp); only then can
-    // the generation be fast-forwarded to the wrap boundary.
+    // First reset bumps the stamp; only then is the generation
+    // fast-forwarded to the wrap boundary.
     cpu.reset(exit_with(0));
     cpu.debug_set_decode_generation(~0ULL - 1);
 
@@ -217,6 +219,45 @@ TEST(DecodeCache, PrimeDecodeIsIdempotentAndUntrustedUntilReset) {
     EXPECT_EQ(cpu.prime_decode(exit_with(4)), 2u);
     cpu.reset(exit_with(4));
     EXPECT_EQ(cpu.run().exit_code, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// The legacy per-word cache belongs to the legacy engine alone.
+// ---------------------------------------------------------------------------
+
+TEST(DecodeCache, ThreadedDispatchHoldsNoLegacyCache) {
+    const Program program = exit_with(5);
+    Memory mem(1 << 12);
+    Cpu threaded(mem);
+    threaded.set_dispatch(CpuDispatch::Threaded);
+    threaded.prime_decode(program);
+    for (int run = 0; run < 2; ++run) {
+        threaded.reset(program);
+        EXPECT_EQ(threaded.run().exit_code, 5u);
+    }
+    EXPECT_EQ(threaded.debug_decode_cache_entries(), 0u);
+
+    // The legacy engine allocates it on its first fetch, one entry per
+    // memory word.
+    Memory legacy_mem(1 << 12);
+    Cpu legacy(legacy_mem);
+    legacy.set_dispatch(CpuDispatch::Legacy);
+    legacy.reset(program);
+    EXPECT_EQ(legacy.debug_decode_cache_entries(), 0u);
+    EXPECT_EQ(legacy.run().exit_code, 5u);
+    EXPECT_EQ(legacy.debug_decode_cache_entries(), legacy_mem.size() / 4);
+}
+
+TEST(DecodeCache, LegacyRunBeforeAnyResetDecodesTheImage) {
+    // A freshly allocated cache must not pass for decoded: with the
+    // program stored by hand and no reset, the legacy engine still
+    // fetches the real words.
+    Memory mem(1 << 12);
+    const Program program = exit_with(6);
+    mem.load(program);
+    Cpu cpu(mem);
+    cpu.set_dispatch(CpuDispatch::Legacy);
+    EXPECT_EQ(cpu.run().exit_code, 6u);
 }
 
 }  // namespace

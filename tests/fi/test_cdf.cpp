@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace sfi {
 namespace {
@@ -131,6 +138,234 @@ TEST(TimingErrorCdfs, MonotoneInWindow) {
         EXPECT_LE(p, prev + 1e-12);
         prev = p;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile cache files: load() accepts exactly the stores save() can write.
+// ---------------------------------------------------------------------------
+
+std::string saved_bytes(const TimingErrorCdfs& cdfs) {
+    std::stringstream buffer;
+    cdfs.save(buffer);
+    return buffer.str();
+}
+
+/// Byte offsets of the fields of a saved store (the layout save() writes).
+struct SavedLayout {
+    std::vector<std::size_t> counts;  // u64: header endpoints/samples, per-class and per-endpoint counts
+    std::vector<std::size_t> floats;  // every arrival sample
+    std::vector<std::size_t> flags;   // per-class presence bytes
+    std::size_t size = 0;
+};
+
+SavedLayout saved_layout(const TimingErrorCdfs& cdfs) {
+    SavedLayout layout;
+    std::size_t at = 4 + 4 + 8;  // magic, version, setup
+    layout.counts = {at, at + 8};
+    at += 16;
+    for (std::size_t c = 0; c < kExClassCount; ++c) {
+        const auto cls = static_cast<ExClass>(c);
+        layout.flags.push_back(at++);
+        if (!cdfs.has_class(cls)) continue;
+        layout.counts.push_back(at);
+        at += 8;
+        const std::size_t endpoints = cdfs.endpoints_by_criticality(cls).size();
+        for (std::size_t e = 0; e < endpoints; ++e) {
+            layout.counts.push_back(at);
+            at += 8;
+            for (std::size_t k = 0; k < cdfs.endpoint_sample_count(cls, e); ++k) {
+                layout.floats.push_back(at);
+                at += 4;
+            }
+        }
+    }
+    layout.size = at;
+    return layout;
+}
+
+/// A random valid store: three classes, 6 endpoints, 12 samples each, with
+/// ties and never-toggling endpoints.
+TimingErrorCdfs random_store(std::uint64_t seed) {
+    Rng rng(seed);
+    DtaResult dta;
+    dta.setup_ps = 5.0 + rng.uniform(0.0, 10.0);
+    dta.cycles = 12;
+    for (const ExClass cls : {ExClass::Add, ExClass::Mul, ExClass::Sll}) {
+        DtaClassResult result;
+        result.cls = cls;
+        result.arrivals_ps.resize(6);
+        for (auto& samples : result.arrivals_ps)
+            for (std::size_t k = 0; k < dta.cycles; ++k)
+                samples.push_back(rng.chance(0.3) ? 0.0f
+                                                  : static_cast<float>(rng.bounded(40) * 25));
+        dta.classes.push_back(std::move(result));
+    }
+    return TimingErrorCdfs::from_dta(dta);
+}
+
+/// The invariants model C's memoized walk assumes, plus a byte-exact
+/// save/load round trip: what "a valid store" means below.
+void expect_valid(const TimingErrorCdfs& cdfs, const std::string& what) {
+    ASSERT_TRUE(std::isfinite(cdfs.setup_ps())) << what;
+    std::size_t widest = 0;
+    for (std::size_t c = 0; c < kExClassCount; ++c) {
+        const auto cls = static_cast<ExClass>(c);
+        if (!cdfs.has_class(cls)) continue;
+        const std::size_t endpoints = cdfs.endpoints_by_criticality(cls).size();
+        widest = std::max(widest, endpoints);
+        ASSERT_TRUE(std::isfinite(cdfs.class_max_window_ps(cls))) << what;
+        for (std::size_t e = 0; e < endpoints; ++e) {
+            ASSERT_EQ(cdfs.endpoint_sample_count(cls, e), cdfs.samples_per_endpoint())
+                << what;
+            double prev = 1.0;
+            for (double window = -50.0; window < 1100.0; window += 37.0) {
+                const double p = cdfs.violation_prob(cls, e, window);
+                ASSERT_GE(p, 0.0) << what;
+                ASSERT_LE(p, prev) << what;
+                prev = p;
+            }
+        }
+    }
+    ASSERT_EQ(widest, cdfs.endpoint_count()) << what;
+    std::stringstream again(saved_bytes(cdfs));
+    ASSERT_TRUE(TimingErrorCdfs::load(again) == cdfs) << what;
+}
+
+/// Loads `bytes`: a rejection must be std::runtime_error (never
+/// bad_alloc/length_error from sizing a container off a hostile count,
+/// and never a crash); an accepted store must be valid. Returns whether
+/// it loaded.
+bool load_or_reject(const std::string& bytes, const std::string& what) {
+    std::stringstream stream(bytes);
+    try {
+        const TimingErrorCdfs loaded = TimingErrorCdfs::load(stream);
+        expect_valid(loaded, what);
+        return true;
+    } catch (const std::runtime_error&) {
+        return false;
+    }
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t value) {
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+void put_float(std::string& bytes, std::size_t at, float value) {
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+TEST(TimingErrorCdfsLoad, RejectsASampleCountOtherThanTheHeaders) {
+    const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
+    const SavedLayout layout = saved_layout(cdfs);
+    std::string bytes = saved_bytes(cdfs);
+    // The first endpoint claims 3 samples (header: 4); the stream still
+    // holds enough bytes, so only the header check can catch it.
+    put_u64(bytes, layout.counts[3], 3);
+    EXPECT_FALSE(load_or_reject(bytes, "short endpoint"));
+}
+
+TEST(TimingErrorCdfsLoad, RejectsCountsBeyondTheStreamBeforeSizing) {
+    const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
+    const SavedLayout layout = saved_layout(cdfs);
+    for (const std::uint64_t huge :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+        // Header and endpoint agree on a count no stream of this size can
+        // hold: resize() must never see it.
+        std::string samples = saved_bytes(cdfs);
+        put_u64(samples, layout.counts[1], huge);
+        put_u64(samples, layout.counts[3], huge);
+        EXPECT_FALSE(load_or_reject(samples, "huge sample count"));
+        std::string endpoints = saved_bytes(cdfs);
+        put_u64(endpoints, layout.counts[0], huge);
+        put_u64(endpoints, layout.counts[2], huge);
+        EXPECT_FALSE(load_or_reject(endpoints, "huge endpoint count"));
+    }
+}
+
+TEST(TimingErrorCdfsLoad, RejectsUnsortedAndNonFiniteArrivals) {
+    const auto cdfs = TimingErrorCdfs::from_dta(synthetic_dta());
+    const SavedLayout layout = saved_layout(cdfs);
+    // Endpoint 0 of Add holds {0, 100, 200, 300}.
+    std::string unsorted = saved_bytes(cdfs);
+    put_float(unsorted, layout.floats[0], 150.0f);
+    EXPECT_FALSE(load_or_reject(unsorted, "unsorted"));
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+        std::string bytes = saved_bytes(cdfs);
+        put_float(bytes, layout.floats[3], bad);
+        EXPECT_FALSE(load_or_reject(bytes, "non-finite"));
+    }
+    // A sorted, finite edit is a different but valid store.
+    std::string edited = saved_bytes(cdfs);
+    put_float(edited, layout.floats[3], 350.0f);
+    EXPECT_TRUE(load_or_reject(edited, "sorted edit"));
+}
+
+TEST(TimingErrorCdfsLoad, SeededMutantsThrowOrLoadValid) {
+    // Each mutant is one random edit of a valid store's bytes: a bit flip
+    // anywhere, a hostile value in a count field, a non-finite or swapped
+    // sample, a bad presence flag, or a truncation. A given seed always
+    // builds the same mutants.
+    const std::uint64_t hostile[] = {0, 1, 2, 5, 6, 11, 12, 13, 1u << 20,
+                                     std::uint64_t{1} << 32, std::uint64_t{1} << 62,
+                                     ~std::uint64_t{0}};
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const TimingErrorCdfs store = random_store(seed);
+        const std::string valid = saved_bytes(store);
+        const SavedLayout layout = saved_layout(store);
+        ASSERT_EQ(layout.size, valid.size());
+        Rng rng(seed * 7919);
+        for (int m = 0; m < 600; ++m) {
+            std::string bytes = valid;
+            const std::uint64_t kind = rng.bounded(6);
+            switch (kind) {
+                case 0:  // one flipped bit anywhere
+                    bytes[rng.bounded(bytes.size())] ^=
+                        static_cast<char>(1u << rng.bounded(8));
+                    break;
+                case 1:  // a hostile count
+                    put_u64(bytes, layout.counts[rng.bounded(layout.counts.size())],
+                            hostile[rng.bounded(std::size(hostile))]);
+                    break;
+                case 2: {  // a non-finite or out-of-range sample
+                    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                                         std::numeric_limits<float>::infinity(),
+                                         -std::numeric_limits<float>::infinity(),
+                                         -1.0f, 1e30f};
+                    put_float(bytes, layout.floats[rng.bounded(layout.floats.size())],
+                              bad[rng.bounded(std::size(bad))]);
+                    break;
+                }
+                case 3: {  // two neighbouring samples swapped
+                    const std::size_t k = rng.bounded(layout.floats.size() - 1);
+                    std::swap_ranges(bytes.begin() + layout.floats[k],
+                                     bytes.begin() + layout.floats[k] + 4,
+                                     bytes.begin() + layout.floats[k + 1]);
+                    break;
+                }
+                case 4:  // a presence flag set to any byte
+                    bytes[layout.flags[rng.bounded(layout.flags.size())]] =
+                        static_cast<char>(rng.bounded(256));
+                    break;
+                default:  // truncated anywhere
+                    bytes.resize(rng.bounded(bytes.size()));
+                    break;
+            }
+            const std::string what = "seed " + std::to_string(seed) + " mutant " +
+                                     std::to_string(m) + " kind " + std::to_string(kind);
+            if (load_or_reject(bytes, what))
+                ++loaded;
+            else
+                ++rejected;
+            if (::testing::Test::HasFatalFailure()) return;
+        }
+    }
+    // Both outcomes must actually occur, or the mutator is not probing the
+    // boundary.
+    EXPECT_GT(loaded, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace

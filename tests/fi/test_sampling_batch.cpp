@@ -7,7 +7,9 @@
 //    kernel when this build carries one;
 //  * NoiseIndexBatch reproduces the scalar index stream draw for draw at
 //    fixed seeds (golden vectors pin the stream itself against lockstep
-//    drift), and resync() leaves the Rng in the scalar path's state;
+//    drift), and resync() leaves the Rng in the scalar path's state —
+//    without a rewind when the fill was consumed to its end, after which
+//    the next refill is a single draw;
 //  * the quantized alias tables reproduce the exact clipped-Gaussian bin
 //    masses, and the "B-q" variant separates by fingerprint;
 //  * models B/B+/C produce bit-identical corrupt() streams and FiStats
@@ -257,6 +259,69 @@ TEST(NoiseIndexBatch, ResyncRestoresTheScalarRngState) {
                   noise_table_index(clip_mv * 1e-3, scalar_next, 1025))
             << "consumed=" << consumed;
     }
+}
+
+/// True when two generators are in the same state: the same raw words
+/// and the same normals (which also covers the cached polar spare).
+bool same_stream(Rng a, Rng b) {
+    for (int i = 0; i < 3; ++i)
+        if (a.normal() != b.normal()) return false;
+    for (int i = 0; i < 4; ++i)
+        if (a() != b()) return false;
+    return true;
+}
+
+TEST(NoiseIndexBatch, ResyncAfterAFullyConsumedFillDoesNotRewind) {
+    NoiseConfig config;
+    config.sigma_mv = 10.0;
+    config.clip_sigmas = 2.0;
+    const double clip_mv = config.clip_sigmas * config.sigma_mv;
+    const double clip_v = clip_mv * 1e-3;
+    const VddNoise noise(config);
+
+    NoiseIndexBatch batch;
+    batch.configure(config.sigma_mv, clip_mv, clip_v, 1025,
+                    FaultSamplingMode::Batched);
+    Rng scalar_rng(77);
+    Rng rng(77);
+    batch.start_trial();
+    // Consume the first fill to its end.
+    std::size_t consumed = 0;
+    do {
+        ASSERT_EQ(batch.next_index(rng),
+                  noise_table_index(clip_v, noise.draw(scalar_rng), 1025));
+        ++consumed;
+    } while (batch.pending() != 0);
+    EXPECT_GT(consumed, 1u);
+    // The generator already sits where the scalar path is.
+    EXPECT_TRUE(same_stream(rng, scalar_rng));
+
+    // So resync leaves it alone: a generator the caller has moved on
+    // keeps its state (a rewind would land it back on the fill's end).
+    Rng moved = rng;
+    moved();
+    Rng expected = moved;
+    batch.resync(moved);
+    EXPECT_TRUE(same_stream(moved, expected));
+    batch.resync(rng);
+    EXPECT_TRUE(same_stream(rng, scalar_rng));
+
+    // The refill after an interleave is one draw, then 2, 4, ...
+    EXPECT_EQ(scalar_rng.uniform(), rng.uniform());  // the interleave
+    ASSERT_EQ(batch.next_index(rng),
+              noise_table_index(clip_v, noise.draw(scalar_rng), 1025));
+    EXPECT_EQ(batch.pending(), 0u);
+    EXPECT_TRUE(same_stream(rng, scalar_rng));
+    ASSERT_EQ(batch.next_index(rng),
+              noise_table_index(clip_v, noise.draw(scalar_rng), 1025));
+    EXPECT_EQ(batch.pending(), 1u);
+    ASSERT_EQ(batch.next_index(rng),
+              noise_table_index(clip_v, noise.draw(scalar_rng), 1025));
+    EXPECT_EQ(batch.pending(), 0u);
+    EXPECT_TRUE(same_stream(rng, scalar_rng));
+    ASSERT_EQ(batch.next_index(rng),
+              noise_table_index(clip_v, noise.draw(scalar_rng), 1025));
+    EXPECT_EQ(batch.pending(), 3u);
 }
 
 // ---------------------------------------------------------------------------
