@@ -24,11 +24,6 @@
 //   --no-store       disable the point store (recompute everything)
 //   --csv-dir DIR    directory for CSV dumps (default bench_csv)
 //   --no-csv         disable CSV output
-//   --dispatch MODE  CPU execution engine: "threaded" (decode-once
-//                    micro-op interpreter, default) or "legacy"
-//                    (reference fetch/decode/execute loop). Results are
-//                    bit-identical either way; the flag exists for A/B
-//                    perf measurement and semantic cross-checks.
 //   --fault-sampling MODE  noise-draw sampling path for models B/B+/C:
 //                    "batched" (block-prefetched draws, bit-identical to
 //                    scalar, default), "scalar" (per-op reference path),
@@ -60,10 +55,10 @@
 // Flags outside this set (plus a bench's declared extras) produce a
 // warning on stderr but are still parsed — typos like `--trails` no
 // longer pass silently, while binaries that forward foreign flags keep
-// working. Negative --trials/--seed/--dta-cycles and non-finite or
-// non-positive --watchdog-factor/--ci-target are rejected with a clear
-// message instead of running a nonsense experiment (the same rationale
-// as Cli::get_threads's clamping).
+// working. Negative --trials/--seed/--dta-cycles, a non-integer
+// --threads and non-finite or non-positive --watchdog-factor/--ci-target
+// are rejected with a clear message (exit 2) instead of running a
+// nonsense experiment.
 #pragma once
 
 #include <algorithm>
@@ -86,12 +81,24 @@ inline std::vector<std::string> known_flags(std::vector<std::string> extra) {
                                       "no-store", "csv-dir", "no-csv",
                                       "watchdog-factor", "sampling",
                                       "ci-target", "max-trials", "batch",
-                                      "dispatch", "fault-sampling",
+                                      "fault-sampling",
                                       "forensics", "forensics-trials",
                                       "trace", "trace-mode", "quiet"};
     known.insert(known.end(), std::make_move_iterator(extra.begin()),
                  std::make_move_iterator(extra.end()));
     return known;
+}
+
+/// Runs one strict Cli parser; the std::invalid_argument it throws on a
+/// bad value is printed and exits 2.
+template <typename Parse>
+auto or_exit(Parse parse) {
+    try {
+        return parse();
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        std::exit(2);
+    }
 }
 
 struct Context {
@@ -101,7 +108,6 @@ struct Context {
     std::uint64_t seed = 1;
     std::size_t threads = 0;
     double watchdog_factor = 8.0;
-    CpuDispatch dispatch = CpuDispatch::Threaded;
     sampling::SamplingPolicy sampling;
     std::string csv_dir;
     std::string store_path;
@@ -125,9 +131,8 @@ struct Context {
         trials = static_cast<std::size_t>(
             checked_uint("trials", static_cast<std::uint64_t>(default_trials)));
         seed = checked_uint("seed", 1);
-        threads = cli.get_threads();
+        threads = or_exit([&] { return cli.get_threads(); });
         watchdog_factor = checked_positive_double("watchdog-factor", 8.0);
-        dispatch = parse_dispatch_flag();
         core_config.fault_sampling = parse_fault_sampling_flag();
         sampling = parse_sampling_policy();
         core_config.dta.cycles =
@@ -186,7 +191,6 @@ struct Context {
         config.seed = seed;
         config.watchdog_factor = watchdog_factor;
         config.threads = threads;  // parallel MC; output is bit-identical
-        config.dispatch = dispatch;
         config.fault_sampling = core_config.fault_sampling;
         return config;
     }
@@ -206,7 +210,6 @@ struct Context {
         options.store_path = store_path;
         options.csv_dir = csv_dir;
         options.threads = threads;
-        options.dispatch = dispatch;
         options.console = &std::cout;
         options.ledger = ledger.get();
         options.progress = !quiet;
@@ -232,37 +235,16 @@ struct Context {
     /// Bench-specific count flags (bench_cwc_compare's --points) go
     /// through this too.
     std::uint64_t checked_uint(const char* name, std::uint64_t def) const {
-        try {
-            return cli.get_uint(name, def);
-        } catch (const std::invalid_argument& e) {
-            std::cerr << "error: " << e.what() << "\n";
-            std::exit(2);
-        }
+        return or_exit([&] { return cli.get_uint(name, def); });
     }
 
     /// get_positive_double with the same exit-2 contract: non-finite or
     /// <= 0 --watchdog-factor/--ci-target values abort at parse time.
     double checked_positive_double(const char* name, double def) const {
-        try {
-            return cli.get_positive_double(name, def);
-        } catch (const std::invalid_argument& e) {
-            std::cerr << "error: " << e.what() << "\n";
-            std::exit(2);
-        }
+        return or_exit([&] { return cli.get_positive_double(name, def); });
     }
 
 private:
-    CpuDispatch parse_dispatch_flag() const {
-        const std::string mode = cli.get("dispatch", "threaded");
-        const auto parsed = parse_cpu_dispatch(mode);
-        if (!parsed) {
-            std::cerr << "error: --dispatch must be one of legacy, threaded"
-                         " (got \"" << mode << "\")\n";
-            std::exit(2);
-        }
-        return *parsed;
-    }
-
     FaultSamplingMode parse_fault_sampling_flag() const {
         const std::string mode = cli.get("fault-sampling", "batched");
         const auto parsed = parse_fault_sampling_mode(mode);

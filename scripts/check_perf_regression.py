@@ -7,9 +7,8 @@ checked-in scripts/perf_baseline.json and fails on:
   1. schema drift (the report's schema/schema_version must match what the
      baseline was recorded against);
   2. dispatch drift: when the baseline names a "report_dispatch", the
-     report must have been benched under that ISS execution engine —
-     numbers from `sfi_perf --dispatch legacy` must never be compared
-     against a baseline recorded for the threaded interpreter;
+     report must have been benched under that ISS execution engine
+     (sfi_perf always reports "threaded", the only production engine);
   3. throughput regression: for every kernel label in the baseline, the
      current serial (1-thread) trials/sec must be at least
      min_ratio * baseline — the ratio absorbs runner-to-runner noise

@@ -355,7 +355,6 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
             config.seed = spec_.seed + panel.seed_offset;
             config.watchdog_factor = spec_.watchdog_factor;
             config.threads = options_.threads;
-            config.dispatch = options_.dispatch;
             config.fault_sampling = panel_core.config().fault_sampling;
             mc = std::make_unique<MonteCarloRunner>(*bench, *model, config);
             executor = std::make_unique<sampling::BatchedExecutor>(
@@ -702,7 +701,7 @@ void CampaignRunner::write_manifest(CampaignResult& result) {
        << ", \"trials_spent\": " << result.trials_spent
        << ", \"store_recovered_bytes\": " << store_.recovered_bytes()
        << ", \"threads\": " << options_.threads
-       << ", \"dispatch\": \"" << cpu_dispatch_name(options_.dispatch) << "\""
+       << ", \"dispatch\": \"threaded\""
        << ", \"wall_clock_s\": " << format_double(result.wall_s)
        << ", \"completed\": " << (result.completed ? "true" : "false")
        << "}\n";

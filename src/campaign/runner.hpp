@@ -55,11 +55,6 @@ struct RunOptions {
     /// MC worker threads per point (McConfig::threads semantics: 0 = one
     /// per CPU in the affinity mask, 1 = serial; bit-identical at any value).
     std::size_t threads = 1;
-    /// CPU execution engine for every ISS run (McConfig::dispatch).
-    /// Bit-identical results either way, so this is a volatile run
-    /// setting: it does not enter the spec fingerprint or the point-store
-    /// keys — stored summaries are shared across dispatch modes.
-    CpuDispatch dispatch = CpuDispatch::Threaded;
     /// Console progress (panel tables, PoFF lines); null = quiet.
     std::ostream* console = nullptr;
     /// Checked before every point; returning true stops the campaign

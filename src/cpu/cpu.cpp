@@ -68,27 +68,10 @@ void Cpu::reset(const Program& program) {
     cycles_ = instructions_ = kernel_cycles_ = kernel_instructions_ = 0;
     fi_active_ = false;
     fi_windows_ = 0;
-    pending_stop_.reset();
     exit_code_ = 0;
     fault_addr_ = 0;
     last_was_load_ = false;
     last_load_dest_ = 0;
-    // Invalidate by generation bump: O(1) per reset instead of re-zeroing
-    // one DecodeEntry per memory word (a multi-MB fill that used to
-    // dominate short Monte-Carlo trials). Entries are lazily re-decoded on
-    // first fetch because their stamp no longer matches. The cache itself
-    // is allocated by the first fetch_decoded(), i.e. only under legacy
-    // dispatch: the threaded interpreter never reads it.
-    if (++decode_gen_ == 0) {
-        // Stamp rollover: 0 must stay the permanent "invalid" stamp, so
-        // wipe every entry back to it and restart at 1 (unreachable in
-        // real runs; tests/cpu/test_decode_cache.cpp fast-forwards here).
-        for (DecodeEntry& entry : decode_cache_) entry.gen = 0;
-        decode_gen_ = 1;
-    }
-    // Nothing is decoded at the fresh generation yet.
-    decode_live_lo_ = ~std::uint32_t{0};
-    decode_live_hi_ = 0;
     if (interp_) sync_interp_on_reset(program, reset_program_hash_);
 }
 
@@ -97,34 +80,11 @@ void Cpu::set_reg(std::uint8_t index, std::uint32_t value) {
     if (index != 0) regs_[index] = value;  // r0 is hardwired to zero
 }
 
-const Instr* Cpu::fetch_decoded(std::uint32_t pc, bool& illegal) {
-    illegal = false;
-    if (pc % 4 != 0 || pc + 4 > mem_.size()) return nullptr;
-    const std::uint32_t word = pc / 4;
-    // Fresh entries carry the permanent "invalid" stamp 0, so allocating
-    // here needs no generation change.
-    if (decode_cache_.empty()) decode_cache_.assign(mem_.size() / 4, DecodeEntry{});
-    DecodeEntry& entry = decode_cache_[word];
-    if (entry.gen != decode_gen_) {
-        const auto decoded = decode(mem_.read_u32(pc));
-        entry.gen = decode_gen_;
-        if (word < decode_live_lo_) decode_live_lo_ = word;
-        if (word > decode_live_hi_) decode_live_hi_ = word;
-        entry.illegal = !decoded.has_value();
-        if (decoded) entry.instr = *decoded;
-    }
-    if (entry.illegal) {
-        illegal = true;
-        return nullptr;
-    }
-    return &entry.instr;
-}
-
 void Cpu::spend_cycles(std::uint64_t n) {
     cycles_ += n;
     if (fi_active_) kernel_cycles_ += n;
     // Batched handover: the default on_cycles loops on_cycle n times, so
-    // hooks that don't override it observe the exact legacy sequence.
+    // hooks that don't override it observe the exact per-cycle sequence.
     if (hook_) hook_->on_cycles(n, fi_active_);
 }
 
@@ -149,13 +109,16 @@ std::uint32_t Cpu::exec_alu(const Instr& instr, std::uint32_t a, std::uint32_t b
 }
 
 std::optional<StopReason> Cpu::step() {
-    bool illegal = false;
-    const Instr* instr_ptr = fetch_decoded(pc_, illegal);
-    if (!instr_ptr) {
+    if (!mem_.access_ok(pc_, 4)) {
         fault_addr_ = pc_;
-        return illegal ? StopReason::IllegalInstr : StopReason::FetchFault;
+        return StopReason::FetchFault;
     }
-    const Instr instr = *instr_ptr;  // copy: stores may invalidate the cache
+    const auto decoded = decode(mem_.read_u32_unchecked(pc_));
+    if (!decoded) {
+        fault_addr_ = pc_;
+        return StopReason::IllegalInstr;
+    }
+    const Instr instr = *decoded;
     const OpInfo& info = op_info(instr.op);
 
     if (trace_) trace_(pc_, instr, disassemble(instr));
@@ -299,21 +262,22 @@ std::optional<StopReason> Cpu::step() {
 
 RunResult Cpu::run(std::uint64_t max_cycles) {
     // Tracing needs the per-step disassembly callback, which only the
-    // legacy loop provides; everything else observable is bit-identical
-    // between the two engines (see src/cpu/interp.hpp).
-    if (dispatch_ == CpuDispatch::Threaded && !trace_)
-        return run_threaded(max_cycles);
-    if (max_cycles == 0) max_cycles = 100'000'000ULL;
-    RunResult result;
+    // reference loop provides; everything else observable is bit-identical
+    // between the two (see src/cpu/interp.hpp).
+    return trace_ ? run_reference(max_cycles) : run_threaded(max_cycles);
+}
+
+RunResult Cpu::run_reference(std::uint64_t max_cycles) {
+    if (max_cycles == 0) max_cycles = kDefaultMaxCycles;
     std::optional<StopReason> stop;
-    while (!stop) {
-        if (cycles_ >= max_cycles) {
-            stop = StopReason::Watchdog;
-            break;
-        }
-        stop = step();
-    }
-    result.stop = *stop;
+    while (!stop)
+        stop = cycles_ >= max_cycles ? StopReason::Watchdog : step();
+    return run_result(*stop);
+}
+
+RunResult Cpu::run_result(StopReason stop) const {
+    RunResult result;
+    result.stop = stop;
     result.exit_code = exit_code_;
     result.cycles = cycles_;
     result.instructions = instructions_;

@@ -22,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cpu/interp.hpp"
 #include "cpu/memory.hpp"
@@ -59,8 +58,8 @@ public:
     /// `n` times, which is what the default does. Hooks whose per-cycle
     /// behavior is a pure accumulation (FaultModel, the golden-run
     /// counter) override it with O(1) arithmetic so the ISS can hand over
-    /// a whole stall/flush group — or, in threaded dispatch, an entire
-    /// run's kernel window — in one virtual call.
+    /// a whole stall/flush group — or, in the threaded interpreter, an
+    /// entire run's kernel window — in one virtual call.
     virtual void on_cycles(std::uint64_t n, bool fi_active) {
         for (std::uint64_t i = 0; i < n; ++i) on_cycle(fi_active);
     }
@@ -123,21 +122,12 @@ public:
     /// Installs / removes the fault-injection hook (may be null).
     void set_fault_hook(ExFaultHook* hook) { hook_ = hook; }
 
-    /// Selects the execution engine for run(): Legacy (per-step decode
-    /// cache, the reference semantics) or Threaded (decode-once micro-op
-    /// stream + kernel table, bit-identical and ~5x faster on clean
-    /// simulation — see src/cpu/interp.hpp for the equality contract).
-    /// Threaded runs fall back to the legacy loop while a trace callback
-    /// is installed; step() always executes the legacy path.
-    void set_dispatch(CpuDispatch dispatch) { dispatch_ = dispatch; }
-    CpuDispatch dispatch() const { return dispatch_; }
-
     /// Eagerly lowers every word of `program`'s sections into the
-    /// micro-op stream (threaded dispatch only; a no-op when the stream
-    /// already matches the program's content hash). Returns the number of
-    /// words lowered — the Phase::Decode item count. Safe to call before
-    /// reset(): the stream is not trusted until a reset synchronizes
-    /// memory with the program image.
+    /// micro-op stream (a no-op when the stream already matches the
+    /// program's content hash). Returns the number of words lowered — the
+    /// Phase::Decode item count. Safe to call before reset(): the stream
+    /// is not trusted until a reset synchronizes memory with the program
+    /// image.
     std::size_t prime_decode(const Program& program);
 
     /// Attaches a perf profile (null detaches); threaded runs charge lazy
@@ -145,12 +135,21 @@ public:
     /// each worker Cpu its own profile (or none), never a shared one.
     void set_perf_profile(perf::PhaseProfile* profile) { profile_ = profile; }
 
-    /// Runs until halt / fault / watchdog. `max_cycles` bounds total
-    /// simulated cycles (0 means the built-in default of 100M).
+    /// Runs until halt / fault / watchdog on the threaded interpreter
+    /// (src/cpu/interp.hpp). `max_cycles` bounds total simulated cycles
+    /// (0 means the built-in default of 100M). While a trace callback is
+    /// installed it runs run_reference() instead, the one loop that
+    /// reports every instruction.
     RunResult run(std::uint64_t max_cycles = 0);
 
-    /// Executes exactly one instruction (for tests and tracing);
-    /// returns the stop reason if the program terminated on this step.
+    /// The reference semantics: the same run as run(), one step() per
+    /// instruction. Bit-identical to run() in every observable
+    /// (tests/cpu/test_differential.cpp); it serves tracing and tests.
+    RunResult run_reference(std::uint64_t max_cycles = 0);
+
+    /// Executes exactly one instruction, decoded straight from memory
+    /// (so self-modifying stores are visible to the next fetch); returns
+    /// the stop reason if the program terminated on this step.
     std::optional<StopReason> step();
 
     // Architectural state access (tests, benchmark result extraction).
@@ -174,30 +173,18 @@ public:
                                        const std::string& disasm)>;
     void set_trace(TraceFn fn) { trace_ = std::move(fn); }
 
-    // Generation-stamp debug hooks for the rollover tests
-    // (tests/cpu/test_decode_cache.cpp): both caches mark validity with a
-    // monotone stamp and must survive the stamp wrapping to 0, which no
-    // realistic run reaches — the tests fast-forward it here.
-    std::uint64_t debug_decode_generation() const { return decode_gen_; }
-    void debug_set_decode_generation(std::uint64_t gen) { decode_gen_ = gen; }
+    // Generation-stamp debug hooks for the rollover test
+    // (tests/cpu/test_decode_cache.cpp): the micro-op stream marks
+    // validity with a monotone stamp and must survive it wrapping to 0,
+    // which no realistic run reaches — the test fast-forwards it here.
     std::uint32_t debug_interp_generation() const;  // 0: no stream yet
     void debug_set_interp_generation(std::uint32_t gen);
-    /// Entries of the legacy per-word decode cache (0 until the legacy
-    /// engine first fetches).
-    std::size_t debug_decode_cache_entries() const { return decode_cache_.size(); }
 
 private:
-    struct DecodeEntry {
-        Instr instr;
-        /// Entry is valid iff gen == decode_gen_. reset() bumps the
-        /// generation instead of re-zeroing the multi-MB cache, so a trial
-        /// only pays decode for the words it actually fetches. 0 is the
-        /// permanent "invalid" stamp (decode_gen_ starts at 1).
-        std::uint64_t gen = 0;
-        bool illegal = false;
-    };
+    static constexpr std::uint64_t kDefaultMaxCycles = 100'000'000ULL;
 
-    const Instr* fetch_decoded(std::uint32_t pc, bool& illegal);
+    /// The RunResult of a run that stopped for `stop`, from the state.
+    RunResult run_result(StopReason stop) const;
     void spend_cycles(std::uint64_t n);
     std::uint32_t exec_alu(const Instr& instr, std::uint32_t a, std::uint32_t b);
 
@@ -216,9 +203,8 @@ private:
     PipelineTiming timing_;
     ExFaultHook* hook_ = nullptr;
     TraceFn trace_;
-    CpuDispatch dispatch_ = CpuDispatch::Legacy;
     perf::PhaseProfile* profile_ = nullptr;
-    std::unique_ptr<InterpState> interp_;  // lazily allocated (threaded only)
+    std::unique_ptr<InterpState> interp_;  // lazily allocated by the first run
 
     std::array<std::uint32_t, 32> regs_{};
     std::uint32_t pc_ = 0;
@@ -233,7 +219,6 @@ private:
     std::uint64_t fi_windows_ = 0;
 
     // Exit bookkeeping for the current run.
-    std::optional<StopReason> pending_stop_;
     std::uint32_t exit_code_ = 0;
     std::uint32_t fault_addr_ = 0;
 
@@ -256,41 +241,26 @@ private:
     std::uint64_t reset_program_hash_ = 0;
     std::uint64_t reset_program_sig_ = 0;
 
-    // Legacy-dispatch decode cache (one entry per word, ~6 MB for the
-    // default memory), allocated by the first fetch_decoded() and
-    // invalidated by data stores and wholesale (generation bump) by
-    // reset().
-    std::vector<DecodeEntry> decode_cache_;
-    std::uint64_t decode_gen_ = 1;
-    // Inclusive word span holding entries stamped at decode_gen_ (empty
-    // when lo > hi). Lets the store path skip the cache when the target
-    // was never decoded this generation — see invalidate_decode().
-    std::uint32_t decode_live_lo_ = ~std::uint32_t{0};
-    std::uint32_t decode_live_hi_ = 0;
-
-    // Inline: sits on the store kernels' per-instruction path in both
-    // dispatch modes, where an out-of-line call per store is measurable.
+    // Inline: sits on the store path of both run() and step(), where an
+    // out-of-line call per store is measurable.
     void invalidate_decode(std::uint32_t addr) {
+        if (!interp_) return;
+        InterpState& state = *interp_;
+        // Only words lowered at the *current* generation can hold a
+        // trusted micro-op. Data stores — the overwhelming majority — land
+        // outside that live span and skip the array entirely, instead of
+        // dirtying a random cache line of a multi-MB vector on every store.
+        // (An empty span has lo > hi, so the guarded indexing is always in
+        // bounds.)
         const std::uint32_t word = addr / 4;
-        // Only words decoded at the *current* generation can hold a trusted
-        // entry, and both caches track that live span. Data stores — the
-        // overwhelming majority — land outside it and skip the arrays
-        // entirely, instead of dirtying a random cache line of a multi-MB
-        // vector on every store. (An empty span has lo > hi, so the guarded
-        // indexing below is always in bounds.)
-        if (word >= decode_live_lo_ && word <= decode_live_hi_)
-            decode_cache_[word].gen = 0;
-        if (interp_) {
-            InterpState& state = *interp_;
-            if (word >= state.live_lo && word <= state.live_hi)
-                state.uops[word].gen = 0;
-            // Track the store for the threaded stream's coherence protocol:
-            // expected_write_gen mirrors the one write-generation tick this
-            // store produced, and store_seen arms the relower_risk check (a
-            // word lowered from post-store content must not survive reset).
-            state.store_seen = true;
-            ++state.expected_write_gen;
-        }
+        if (word >= state.live_lo && word <= state.live_hi)
+            state.uops[word].gen = 0;
+        // Track the store for the stream's coherence protocol:
+        // expected_write_gen mirrors the one write-generation tick this
+        // store produced, and store_seen arms the relower_risk check (a
+        // word lowered from post-store content must not survive reset).
+        state.store_seen = true;
+        ++state.expected_write_gen;
     }
 };
 

@@ -1,5 +1,5 @@
 // Threaded-dispatch interpreter implementation (see interp.hpp for the
-// design and the bit-identity contract against the legacy Cpu::step path).
+// design and the bit-identity contract against Cpu::run_reference).
 //
 // The dispatch loop is a template over a hook policy so the four hook
 // situations compile to four specialized loops:
@@ -9,9 +9,9 @@
 //                       result provably latches correctly, so per-op hook
 //                       calls collapse into two O(1) batch calls at exit.
 //   ModelPolicy       — injecting FaultModel: per-op on_ex_result (the
-//                       corruption/RNG stream must match legacy exactly),
+//                       corruption/RNG stream must match the reference),
 //                       cycle accounting batched at exit.
-//   GenericHookPolicy — unknown ExFaultHook: the legacy call sequence is
+//   GenericHookPolicy — unknown ExFaultHook: the reference call sequence is
 //                       reproduced verbatim (on_cycles at every spend
 //                       site, on_ex_result per FI-active ALU op).
 
@@ -94,8 +94,8 @@ void lower_uop(const Instr& instr, std::uint32_t pc, MicroOp& out) {
     switch (instr.op) {
         case Op::NOP:
             // The kernel-begin marker compares the full immediate (the
-            // legacy pre-switch check); exit and kernel-end compare the
-            // low 16 bits (the legacy dispatch switch).
+            // step() pre-switch check); exit and kernel-end compare the
+            // low 16 bits (step()'s switch).
             if (instr.imm == kNopKernelBegin) {
                 out.kind = UopKind::NopKernelBegin;
                 break;
@@ -189,7 +189,6 @@ void Cpu::sync_interp_on_reset(const Program& program,
 }
 
 std::size_t Cpu::prime_decode(const Program& program) {
-    if (dispatch_ != CpuDispatch::Threaded) return 0;
     InterpState& state = ensure_interp();
     const std::uint64_t hash = hash_program(program);
     if (state.program_hash == hash && !state.relower_risk) return 0;
@@ -252,8 +251,8 @@ struct NullHookPolicy {
 // possible draw (the same guarantee behind the zero-fault trial fast
 // path), so on_ex_result reduces to alu_ops accounting and on_cycle to
 // fi_cycles accounting — both pure accumulations, batched here into two
-// calls at run exit. The model's RNG is not advanced where legacy's
-// corrupt() would have drawn noise; that is unobservable because every
+// calls at run exit. The model's RNG is not advanced where step()
+// would have drawn noise through corrupt(); that is unobservable because every
 // Monte-Carlo trial reseeds the model before running.
 struct CleanModelPolicy {
     FaultModel* model;
@@ -341,7 +340,7 @@ struct GenericHookPolicy {
         SFI_NEXT();         \
     } while (0)
 
-// Legacy only consults the hook for ALU results inside the FI window;
+// step() only consults the hook for ALU results inside the FI window;
 // outside it (or with a provably clean model) the correct result stands.
 #define SFI_EX(result_var, a_var, b_var)        \
     do {                                        \
@@ -540,7 +539,7 @@ RunResult Cpu::run_threaded_impl(std::uint64_t max_cycles, Policy policy) {
     // Load-use hazard state: destination slot of the previous retired
     // instruction iff it was a load, else -1. A load to r0 maps to the
     // sink slot, which can never match a raw source index — exactly the
-    // legacy `last_load_dest_ != 0` guard.
+    // reference loop's `last_load_dest_ != 0` guard.
     int ld_dest = -1;
     if (last_was_load_)
         ld_dest = last_load_dest_ == 0 ? kUopRegSink
@@ -582,7 +581,7 @@ top:
             ++lazy_lowered;
             // Invariant the dispatch fast path relies on: an undecodable
             // word is never stamped valid, so every visit stops here —
-            // pre-dispatch like the legacy fetch path, leaving the hazard
+            // pre-dispatch like step()'s fetch, leaving the hazard
             // state untouched by a faulting fetch.
             if (slot.kind == UopKind::Illegal) {
                 fault_addr_ = pc;
@@ -638,7 +637,7 @@ top:
     }
 
     SFI_KERNEL(NopKernelBegin) {
-        if (!fi) {  // duplicate begin markers are no-ops, like legacy
+        if (!fi) {  // duplicate begin markers are no-ops, like step()
             fi = true;
             ++fi_windows;
             // Bases precede the spend and the retirement: the begin
@@ -657,7 +656,7 @@ top:
             fi = false;
             // Folded after the spend (the end marker's cycle counts
             // inside) but before the retirement below (its instruction
-            // does not) — exactly the legacy accounting order.
+            // does not) — exactly step()'s accounting order.
             kcycles += cycles - kcyc_base;
             kinstr += instructions - kin_base;
             policy.window_end();
@@ -678,7 +677,7 @@ top:
 
     SFI_KERNEL(JSelfLoop) {
         SFI_SPEND(bubbles);
-        SFI_STOP(StopReason::SelfLoop);  // no retirement, like legacy
+        SFI_STOP(StopReason::SelfLoop);  // no retirement, like step()
     }
 
     SFI_KERNEL(Jal) {
@@ -696,7 +695,7 @@ top:
 
     SFI_KERNEL(Jalr) {
         SFI_SPEND(bubbles);
-        r[9] = pc + 4;  // link written before rb is read (legacy order)
+        r[9] = pc + 4;  // link written before rb is read (step() order)
         const std::uint32_t target = r[up->rb];
         if (target == pc) SFI_STOP(StopReason::SelfLoop);
         SFI_RETIRE_TAKEN(target);
@@ -794,15 +793,7 @@ done:
     if (lazy_lowered != 0 && profile_ != nullptr)
         profile_->add(perf::Phase::Decode, 0.0, lazy_lowered);
 
-    RunResult result;
-    result.stop = stop_reason;
-    result.exit_code = exit_code_;
-    result.cycles = cycles_;
-    result.instructions = instructions_;
-    result.kernel_cycles = kernel_cycles_;
-    result.kernel_instructions = kernel_instructions_;
-    result.fault_addr = fault_addr_;
-    return result;
+    return run_result(stop_reason);
 }
 
 #if SFI_COMPUTED_GOTO
@@ -825,7 +816,7 @@ done:
 #undef SFI_CMP_KERNEL
 
 RunResult Cpu::run_threaded(std::uint64_t max_cycles) {
-    if (max_cycles == 0) max_cycles = 100'000'000ULL;
+    if (max_cycles == 0) max_cycles = kDefaultMaxCycles;
     InterpState& state = ensure_interp();
     // The stream is only trustworthy when (a) a reset() synchronized
     // memory with the hashed program image and (b) every write since then
@@ -833,7 +824,7 @@ RunResult Cpu::run_threaded(std::uint64_t max_cycles) {
     // executed store). Anything else — priming without a reset, an
     // external Memory::write_* from test code — invalidates wholesale;
     // entries are then re-lowered lazily from current memory, which is
-    // exactly what the legacy decode cache would have read.
+    // exactly what step() reads.
     if (!state.synced || state.expected_write_gen != mem_.write_generation()) {
         state.bump_gen();
         state.program_hash = 0;

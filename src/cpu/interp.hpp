@@ -11,12 +11,13 @@
 // a kernel table (computed goto under GCC/Clang, a switch elsewhere)
 // instead of re-walking decode() + op_info() per retired instruction.
 //
-// Equality contract: Cpu::run() under CpuDispatch::Threaded is
-// bit-identical to CpuDispatch::Legacy in everything observable —
+// Equality contract: Cpu::run() is bit-identical to the per-instruction
+// reference loop Cpu::run_reference() in everything observable —
 // architectural state, RunResult (cycles included), FiStats, fault-
 // injection hook call sequences, and therefore every PointSummary, CSV and
 // campaign store key. tests/cpu/test_differential.cpp fuzzes that contract
-// with thousands of generated programs per fault model.
+// with thousands of generated programs per fault model and runs every
+// application kernel through both.
 //
 // The micro-op stream persists across Cpu::reset() with the *same*
 // program (content-hashed), so a Monte-Carlo operating point pays decode
@@ -26,9 +27,8 @@
 // describes the modified byte content, which reset reverts).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -36,30 +36,6 @@
 namespace sfi {
 
 struct Program;  // isa/assembler.hpp
-
-/// Execution engine selector for Cpu::run(). Both modes are bit-identical
-/// (see the equality contract above); Threaded is the fast default for
-/// Monte-Carlo work, Legacy is the reference semantics and the only mode
-/// that honours Cpu::set_trace.
-enum class CpuDispatch : std::uint8_t {
-    Legacy,    ///< per-step decode-cache interpreter (Cpu::step)
-    Threaded,  ///< decode-once micro-op stream + kernel table
-};
-
-inline const char* cpu_dispatch_name(CpuDispatch dispatch) {
-    switch (dispatch) {
-        case CpuDispatch::Legacy: return "legacy";
-        case CpuDispatch::Threaded: return "threaded";
-    }
-    return "?";
-}
-
-/// Parses a --dispatch flag value ("legacy" / "threaded").
-inline std::optional<CpuDispatch> parse_cpu_dispatch(const std::string& name) {
-    if (name == "legacy") return CpuDispatch::Legacy;
-    if (name == "threaded") return CpuDispatch::Threaded;
-    return std::nullopt;
-}
 
 /// Micro-op kinds: one kernel per kind. ALU kinds are specialized per
 /// ExClass and operand form so each kernel body is a single expression
@@ -111,7 +87,7 @@ inline constexpr std::uint8_t kUopReadsRb = 1u << 1;
 inline constexpr std::uint8_t kUopRegSink = 32;
 
 /// One lowered instruction word. Fixed 20-byte layout, one per memory
-/// word (like the legacy decode cache); valid iff gen == InterpState::gen.
+/// word; valid iff gen == InterpState::gen.
 struct MicroOp {
     UopKind kind = UopKind::Illegal;
     std::uint8_t rd = 0;     ///< destination, r0 remapped to kUopRegSink
@@ -156,7 +132,8 @@ struct InterpState {
     /// last sync went through this Cpu (reset + one bump per executed
     /// store). A mismatch at run entry means some external writer touched
     /// memory behind our back: the stream is invalidated wholesale, which
-    /// restores the legacy path's semantics for that (test-only) pattern.
+    /// restores the reference loop's semantics for that (test-only)
+    /// pattern.
     std::uint64_t expected_write_gen = 0;
 
     /// A store executed since the last reset. Only relevant combined with

@@ -6,6 +6,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/stream.hpp"
+
 namespace sfi {
 
 namespace {
@@ -15,19 +17,6 @@ constexpr std::uint32_t kVersion = 1;
 template <typename T>
 void put(std::ostream& os, const T& v) {
     os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-/// Offset of the end of `is`, or -1 when the stream cannot seek (its reads
-/// still fail on truncation, just after sizing).
-std::streamoff stream_end(std::istream& is) {
-    const std::streamoff here = is.tellg();
-    if (here < 0 || !is.seekg(0, std::ios::end)) {
-        is.clear();
-        return -1;
-    }
-    const std::streamoff end = is.tellg();
-    is.seekg(here);
-    return end;
 }
 
 /// True when `arrivals` ascends and holds no NaN or infinity. A NaN fails

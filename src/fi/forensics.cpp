@@ -12,6 +12,7 @@
 
 #include "perf/json_writer.hpp"
 #include "util/csv.hpp"
+#include "util/stream.hpp"
 
 namespace sfi {
 
@@ -137,8 +138,18 @@ std::vector<FaultRecord> read_fault_records(std::istream& is) {
     const std::uint32_t count = get_u32(h + 12);
     if (record_size != kFaultRecordBytes)
         throw std::runtime_error("fault records: unexpected record size");
+    // Never size anything from an unchecked header: a seekable stream
+    // must hold every promised record, and a non-seekable one reserves at
+    // most a bounded prefix (the loop still throws on truncation).
+    std::uint32_t reserve = std::min<std::uint32_t>(count, 1u << 16);
+    if (const std::streamoff end = stream_end(is); end >= 0) {
+        const auto left = static_cast<std::uint64_t>(end - is.tellg());
+        if (count > left / kFaultRecordBytes)
+            throw std::runtime_error("fault records: count exceeds the stream");
+        reserve = count;
+    }
     std::vector<FaultRecord> records;
-    records.reserve(count);
+    records.reserve(reserve);
     unsigned char raw[kFaultRecordBytes];
     for (std::uint32_t i = 0; i < count; ++i) {
         if (!is.read(reinterpret_cast<char*>(raw), sizeof(raw)))

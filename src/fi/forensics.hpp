@@ -103,7 +103,8 @@ void write_fault_records(std::ostream& os,
                          const std::vector<FaultRecord>& records);
 
 /// Parses a stream written by write_fault_records; throws
-/// std::runtime_error on a bad magic, record size or truncation.
+/// std::runtime_error on a bad magic, record size or truncation, and on a
+/// header count larger than a seekable stream holds before allocating.
 std::vector<FaultRecord> read_fault_records(std::istream& is);
 
 /// Per-trial record collector, attached to a FaultModel via

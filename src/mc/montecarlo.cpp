@@ -44,7 +44,6 @@ MonteCarloRunner::MonteCarloRunner(const Benchmark& benchmark, FaultModel& model
     // golden run and every serial trial reuse it across resets (content
     // hash match), so no run on this Cpu ever decodes lazily. No profile
     // is attached yet — this one-time cost is construction, not a phase.
-    cpu_.set_dispatch(config_.dispatch);
     cpu_.prime_decode(benchmark.program());
     // Fault-free reference run: establishes the golden cycle count and
     // validates the kernel against its C++ replica. The counting hook is
@@ -218,10 +217,12 @@ PointSummary MonteCarloRunner::run_point(const OperatingPoint& point) {
     {
         const perf::ScopedPhaseTimer trial_timer(profile_, perf::Phase::TrialRun,
                                                  config_.trials);
-        // Worker-count resolution/clamping is owned by run_trials_parallel;
-        // here we only decide serial vs. parallel.
-        if (config_.trials > 1 && resolve_thread_count(config_.threads) > 1) {
-            outcomes = run_trials_parallel(*this, point, config_.threads);
+        const std::size_t threads = std::clamp<std::size_t>(
+            resolve_thread_count(config_.threads), 1,
+            std::max<std::size_t>(config_.trials, 1));
+        if (threads > 1) {
+            outcomes = run_trial_block(*this, point, 0, config_.trials,
+                                       make_trial_contexts(*this, threads));
         } else {
             outcomes.reserve(config_.trials);
             for (std::size_t trial = 0; trial < config_.trials; ++trial)

@@ -55,13 +55,6 @@ struct McConfig {
     /// Workflows that read per-trial model state (bench_ext_razor) call
     /// run_trial directly.
     std::size_t threads = 1;
-    /// Execution engine for every ISS run the runner performs (golden run,
-    /// serial trials, parallel worker contexts). Threaded is the
-    /// decode-once micro-op interpreter — bit-identical to Legacy in every
-    /// observable (tests/cpu/test_differential.cpp) and ~5x faster on
-    /// clean simulation; Legacy remains as the reference semantics and for
-    /// A/B measurement (bench --dispatch legacy).
-    CpuDispatch dispatch = CpuDispatch::Threaded;
     /// Draw-stream mode applied to the fault model each trial
     /// (fi/sampling_batch.hpp). Batched prefetches whole blocks of noise
     /// draws and is bit-identical to Scalar (proven by the differential

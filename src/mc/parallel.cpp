@@ -26,16 +26,12 @@ std::vector<std::unique_ptr<TrialContext>> make_trial_contexts(
     // the context count (the self-scheduling pool gives no guarantee that
     // every worker even executes a trial) and keeps PhaseProfile off the
     // worker threads entirely.
-    perf::ScopedPhaseTimer decode_timer(
-        runner.config().dispatch == CpuDispatch::Threaded
-            ? runner.perf_profile()
-            : nullptr,
-        perf::Phase::Decode);
+    perf::ScopedPhaseTimer decode_timer(runner.perf_profile(),
+                                        perf::Phase::Decode);
     std::uint64_t lowered = 0;
     for (std::size_t index = 0; index < threads; ++index) {
         auto context = std::make_unique<TrialContext>(runner.benchmark(),
                                                       runner.model());
-        context->cpu.set_dispatch(runner.config().dispatch);
         lowered += context->cpu.prime_decode(runner.benchmark().program());
         contexts.push_back(std::move(context));
     }
@@ -118,16 +114,6 @@ std::vector<TrialForensics> run_forensic_block(
                            first_trial + offset, probes[worker]);
                    });
     return results;
-}
-
-std::vector<TrialOutcome> run_trials_parallel(const MonteCarloRunner& runner,
-                                              const OperatingPoint& point,
-                                              std::size_t threads) {
-    const std::size_t trials = runner.config().trials;
-    threads = std::clamp<std::size_t>(resolve_thread_count(threads), 1,
-                                      std::max<std::size_t>(trials, 1));
-    return run_trial_block(runner, point, 0, trials,
-                           make_trial_contexts(runner, threads));
 }
 
 }  // namespace sfi

@@ -41,18 +41,11 @@ struct TrialContext {
     Cpu cpu;  // bound to `memory`; declared after it (init order)
 };
 
-/// Runs runner.config().trials independent trials at `point` across
-/// `threads` worker contexts and returns the outcomes indexed by trial —
-/// ready for summarize_trials(), which makes the aggregate bit-identical
-/// to the serial path. The runner's own model/CPU are left untouched.
-std::vector<TrialOutcome> run_trials_parallel(const MonteCarloRunner& runner,
-                                              const OperatingPoint& point,
-                                              std::size_t threads);
-
-/// Builds one TrialContext per worker for `runner`'s benchmark/model —
-/// the reusable half of run_trials_parallel, split out so the batched
-/// executor (src/sampling/batch.hpp) can keep the contexts alive across
-/// many trial blocks instead of re-cloning the model per batch.
+/// Builds one TrialContext per worker for `runner`'s benchmark/model
+/// (`threads` resolves like McConfig::threads). MonteCarloRunner::run_point
+/// builds a fresh set per point; the batched executor
+/// (src/sampling/batch.hpp) keeps its set alive across many trial blocks
+/// instead of re-cloning the model per batch.
 std::vector<std::unique_ptr<TrialContext>> make_trial_contexts(
     const MonteCarloRunner& runner, std::size_t threads);
 

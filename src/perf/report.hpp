@@ -9,9 +9,9 @@
 //     "schema_version": 3,
 //     "config":   { seed, dta_cycles, trials, benchmark, dispatch },
 //                 (v2: "dispatch" records the ISS execution engine the
-//                  kernels ran under — the regression gate refuses to
-//                  compare legacy-dispatch numbers against a baseline
-//                  recorded for the threaded engine)
+//                  kernels ran under; always "threaded" since the
+//                  threaded interpreter became the only production
+//                  engine, and the regression gate still checks it)
 //     "phases":   [ { phase, seconds, calls, items } x kPhaseCount ],
 //                 (v2: the phase list gained "decode" — micro-op lowering
 //                  for the threaded-dispatch interpreter; v3: it gained
@@ -108,7 +108,6 @@ struct PerfReport {
     std::size_t dta_cycles = 0;
     std::size_t trials = 0;
     std::string benchmark;
-    std::string dispatch;  ///< cpu_dispatch_name() of the engine benched
     PhaseProfile phases;
     std::vector<KernelBench> kernels;
     FastPathResult fast_path;

@@ -101,8 +101,15 @@ double Cli::get_positive_double(const std::string& name, double def) const {
 }
 
 std::size_t Cli::get_threads(std::size_t def) const {
-    const std::int64_t value =
-        get_int("threads", static_cast<std::int64_t>(def));
+    const auto it = options_.find("threads");
+    if (it == options_.end()) return def;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+        throw std::invalid_argument("--threads must be an integer (got \"" +
+                                    text + "\")");
     return value < 0 ? 0 : static_cast<std::size_t>(value);
 }
 

@@ -45,7 +45,9 @@ public:
     /// The shared `--threads` parser for McConfig::threads: non-negative
     /// worker count, where 0 means one worker per CPU in the affinity mask.
     /// Negative values would wrap std::size_t to a huge count, so they are
-    /// clamped to 0 (= auto) in this one place.
+    /// clamped to 0 (= auto) in this one place. The whole value must parse
+    /// as an integer: "abc" or "4x" throws std::invalid_argument naming
+    /// the flag, like get_uint, instead of running as auto or as 4.
     std::size_t get_threads(std::size_t def = 0) const;
 
     /// Positional (non-option) arguments, in order.

@@ -1,18 +1,18 @@
-// Decode-cache coherence edge cases, for both execution engines:
+// Micro-op stream coherence edge cases. Each behavioural case runs on
+// both paths: Cpu::run() (the threaded interpreter and its decode-once
+// stream) and Cpu::run_reference() (step(), which decodes straight from
+// memory and so is the expected behaviour):
 //
-//   * generation-stamp rollover — the legacy per-word decode cache and
-//     the threaded micro-op stream both mark validity with a monotone
-//     stamp and must survive it wrapping (fast-forwarded via the Cpu
-//     debug hooks; unreachable in real runs),
+//   * generation-stamp rollover — the micro-op stream marks validity
+//     with a monotone stamp and must survive it wrapping (fast-forwarded
+//     via the Cpu debug hooks; unreachable in real runs),
 //   * self-modifying code — a store into the executed image must be
 //     visible to the very next fetch of that word,
 //   * external memory mutation between reset() and run() — writes and
 //     Memory::clear() bypass the Cpu entirely and must still invalidate
-//     the threaded stream (write-generation coherence guard),
+//     the stream (write-generation coherence guard),
 //   * prime_decode() — priming is idempotent and never makes a stale
-//     stream trusted before a reset,
-//   * the legacy cache is allocated only by the legacy engine: a threaded
-//     Cpu never holds its ~6 MB.
+//     stream trusted before a reset.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -23,6 +23,14 @@
 
 namespace sfi {
 namespace {
+
+/// One of the two execution paths, chosen by calling it.
+struct Engine {
+    const char* name;
+    RunResult (Cpu::*run)(std::uint64_t);
+};
+constexpr Engine kEngines[] = {{"reference", &Cpu::run_reference},
+                               {"threaded", &Cpu::run}};
 
 Program words_to_program(const std::vector<std::uint32_t>& words) {
     Program::Section code;
@@ -50,37 +58,9 @@ Program exit_with(std::uint32_t value) {
 // Generation-stamp rollover.
 // ---------------------------------------------------------------------------
 
-TEST(DecodeCache, LegacyGenerationRolloverWipesStaleEntries) {
-    Memory mem(1 << 12);
-    Cpu cpu(mem);
-    cpu.set_dispatch(CpuDispatch::Legacy);
-
-    // First reset bumps the stamp; only then is the generation
-    // fast-forwarded to the wrap boundary.
-    cpu.reset(exit_with(0));
-    cpu.debug_set_decode_generation(~0ULL - 1);
-
-    // Fill the cache with entries stamped at the all-ones generation.
-    cpu.reset(exit_with(7));  // bumps to ~0ULL
-    EXPECT_EQ(cpu.run().exit_code, 7u);
-    EXPECT_EQ(cpu.debug_decode_generation(), ~0ULL);
-
-    // The next reset wraps the stamp; entries from the ~0 generation must
-    // not resurface as valid (0 is the permanent "invalid" stamp).
-    cpu.reset(exit_with(9));
-    EXPECT_EQ(cpu.debug_decode_generation(), 1u);
-    EXPECT_EQ(cpu.run().exit_code, 9u);
-
-    // And the cache still works after the wrap.
-    cpu.reset(exit_with(11));
-    EXPECT_EQ(cpu.debug_decode_generation(), 2u);
-    EXPECT_EQ(cpu.run().exit_code, 11u);
-}
-
 TEST(DecodeCache, ThreadedGenerationRolloverWipesStaleUops) {
     Memory mem(1 << 12);
     Cpu cpu(mem);
-    cpu.set_dispatch(CpuDispatch::Threaded);
 
     cpu.reset(exit_with(7));
     EXPECT_EQ(cpu.run().exit_code, 7u);
@@ -120,16 +100,13 @@ Program self_patching_program() {
 }
 
 TEST(DecodeCache, StoreToExecutedCodeIsVisibleOnBothEngines) {
-    for (const CpuDispatch dispatch :
-         {CpuDispatch::Legacy, CpuDispatch::Threaded}) {
+    for (const Engine& engine : kEngines) {
         Memory mem(1 << 12);
         Cpu cpu(mem);
-        cpu.set_dispatch(dispatch);
         cpu.reset(self_patching_program());
-        const RunResult run = cpu.run(1000);
-        EXPECT_EQ(int(run.stop), int(StopReason::Halted))
-            << cpu_dispatch_name(dispatch);
-        EXPECT_EQ(run.exit_code, 5u) << cpu_dispatch_name(dispatch);
+        const RunResult run = (cpu.*engine.run)(1000);
+        EXPECT_EQ(int(run.stop), int(StopReason::Halted)) << engine.name;
+        EXPECT_EQ(run.exit_code, 5u) << engine.name;
 
         // reset() reverts memory to the pristine image; a micro-op
         // lowered from the patched bytes must not survive into the next
@@ -137,8 +114,8 @@ TEST(DecodeCache, StoreToExecutedCodeIsVisibleOnBothEngines) {
         // start from the patched decode.
         cpu.reset(self_patching_program());
         EXPECT_EQ(cpu.memory().read_u32(8), encode({Op::ORI, 3, 0, 0, 1}))
-            << cpu_dispatch_name(dispatch);
-        EXPECT_EQ(cpu.run(1000).exit_code, 5u) << cpu_dispatch_name(dispatch);
+            << engine.name;
+        EXPECT_EQ((cpu.*engine.run)(1000).exit_code, 5u) << engine.name;
     }
 }
 
@@ -149,115 +126,78 @@ TEST(DecodeCache, StoreToExecutedCodeIsVisibleOnBothEngines) {
 // ---------------------------------------------------------------------------
 
 TEST(DecodeCache, ExternalWriteAfterResetIsPickedUp) {
-    for (const CpuDispatch dispatch :
-         {CpuDispatch::Legacy, CpuDispatch::Threaded}) {
+    for (const Engine& engine : kEngines) {
         Memory mem(1 << 12);
         Cpu cpu(mem);
-        cpu.set_dispatch(dispatch);
 
-        // Warm every cache with the original word first.
+        // Warm the stream with the original word first.
         cpu.reset(exit_with(1));
-        EXPECT_EQ(cpu.run().exit_code, 1u) << cpu_dispatch_name(dispatch);
+        EXPECT_EQ((cpu.*engine.run)(0).exit_code, 1u) << engine.name;
 
         // Patch word 0 behind the Cpu's back, post-reset.
         cpu.reset(exit_with(1));
         mem.write_u32(0, encode({Op::ORI, 3, 0, 0, 9}));
-        EXPECT_EQ(cpu.run().exit_code, 9u) << cpu_dispatch_name(dispatch);
+        EXPECT_EQ((cpu.*engine.run)(0).exit_code, 9u) << engine.name;
     }
 }
 
 TEST(DecodeCache, ExternalClearAfterResetIsPickedUp) {
-    for (const CpuDispatch dispatch :
-         {CpuDispatch::Legacy, CpuDispatch::Threaded}) {
+    for (const Engine& engine : kEngines) {
         Memory mem(1 << 12);
         Cpu cpu(mem);
-        cpu.set_dispatch(dispatch);
         cpu.reset(exit_with(1));
-        EXPECT_EQ(cpu.run().exit_code, 1u) << cpu_dispatch_name(dispatch);
+        EXPECT_EQ((cpu.*engine.run)(0).exit_code, 1u) << engine.name;
 
         // A cleared image is all zeroes, which decode as `l.j 0`: the run
         // must stop immediately as a self-loop at pc 0, not replay the
         // cached program.
         cpu.reset(exit_with(1));
         mem.clear();
-        const RunResult run = cpu.run(100);
-        EXPECT_EQ(int(run.stop), int(StopReason::SelfLoop))
-            << cpu_dispatch_name(dispatch);
-        EXPECT_EQ(run.instructions, 0u) << cpu_dispatch_name(dispatch);
+        const RunResult run = (cpu.*engine.run)(100);
+        EXPECT_EQ(int(run.stop), int(StopReason::SelfLoop)) << engine.name;
+        EXPECT_EQ(run.instructions, 0u) << engine.name;
     }
 }
 
 // ---------------------------------------------------------------------------
-// prime_decode(): idempotent, dispatch-gated, and never trusts the
-// stream before a reset.
+// prime_decode(): idempotent, and never trusts the stream before a reset.
 // ---------------------------------------------------------------------------
 
 TEST(DecodeCache, PrimeDecodeIsIdempotentAndUntrustedUntilReset) {
     const Program program = exit_with(3);
-    Memory mem(1 << 12);
-    Cpu cpu(mem);
+    for (const Engine& engine : kEngines) {
+        Memory mem(1 << 12);
+        Cpu cpu(mem);
+        EXPECT_EQ(cpu.prime_decode(program), 2u) << engine.name;  // both words
+        EXPECT_EQ(cpu.prime_decode(program), 0u) << engine.name;  // hash match
 
-    // Legacy dispatch: priming is a no-op by contract.
-    cpu.set_dispatch(CpuDispatch::Legacy);
-    EXPECT_EQ(cpu.prime_decode(program), 0u);
+        // Priming must not let a run execute before any reset loaded
+        // memory: the image is still all zeroes here, so a trusted-but-
+        // stale stream would wrongly exit with 3.
+        const RunResult unloaded = (cpu.*engine.run)(100);
+        EXPECT_EQ(int(unloaded.stop), int(StopReason::SelfLoop)) << engine.name;
 
-    cpu.set_dispatch(CpuDispatch::Threaded);
-    EXPECT_EQ(cpu.prime_decode(program), 2u);  // both words lowered
-    EXPECT_EQ(cpu.prime_decode(program), 0u);  // hash match: no re-lower
+        cpu.reset(program);
+        EXPECT_EQ((cpu.*engine.run)(0).exit_code, 3u) << engine.name;
+        EXPECT_EQ(cpu.prime_decode(program), 0u) << engine.name;  // still current
 
-    // Priming must not let run() execute before any reset loaded memory:
-    // the image is still all zeroes here, so a trusted-but-stale stream
-    // would wrongly exit with 3.
-    const RunResult unloaded = cpu.run(100);
-    EXPECT_EQ(int(unloaded.stop), int(StopReason::SelfLoop));
-
-    cpu.reset(program);
-    EXPECT_EQ(cpu.run().exit_code, 3u);
-    EXPECT_EQ(cpu.prime_decode(program), 0u);  // still current after runs
-
-    // A different program re-primes in full.
-    EXPECT_EQ(cpu.prime_decode(exit_with(4)), 2u);
-    cpu.reset(exit_with(4));
-    EXPECT_EQ(cpu.run().exit_code, 4u);
-}
-
-// ---------------------------------------------------------------------------
-// The legacy per-word cache belongs to the legacy engine alone.
-// ---------------------------------------------------------------------------
-
-TEST(DecodeCache, ThreadedDispatchHoldsNoLegacyCache) {
-    const Program program = exit_with(5);
-    Memory mem(1 << 12);
-    Cpu threaded(mem);
-    threaded.set_dispatch(CpuDispatch::Threaded);
-    threaded.prime_decode(program);
-    for (int run = 0; run < 2; ++run) {
-        threaded.reset(program);
-        EXPECT_EQ(threaded.run().exit_code, 5u);
+        // A different program re-primes in full.
+        EXPECT_EQ(cpu.prime_decode(exit_with(4)), 2u) << engine.name;
+        cpu.reset(exit_with(4));
+        EXPECT_EQ((cpu.*engine.run)(0).exit_code, 4u) << engine.name;
     }
-    EXPECT_EQ(threaded.debug_decode_cache_entries(), 0u);
-
-    // The legacy engine allocates it on its first fetch, one entry per
-    // memory word.
-    Memory legacy_mem(1 << 12);
-    Cpu legacy(legacy_mem);
-    legacy.set_dispatch(CpuDispatch::Legacy);
-    legacy.reset(program);
-    EXPECT_EQ(legacy.debug_decode_cache_entries(), 0u);
-    EXPECT_EQ(legacy.run().exit_code, 5u);
-    EXPECT_EQ(legacy.debug_decode_cache_entries(), legacy_mem.size() / 4);
 }
 
-TEST(DecodeCache, LegacyRunBeforeAnyResetDecodesTheImage) {
-    // A freshly allocated cache must not pass for decoded: with the
-    // program stored by hand and no reset, the legacy engine still
-    // fetches the real words.
-    Memory mem(1 << 12);
-    const Program program = exit_with(6);
-    mem.load(program);
-    Cpu cpu(mem);
-    cpu.set_dispatch(CpuDispatch::Legacy);
-    EXPECT_EQ(cpu.run().exit_code, 6u);
+TEST(DecodeCache, ReferenceRunBeforeAnyResetDecodesTheImage) {
+    // With the program stored by hand and no reset, the reference loop
+    // fetches the real words, and so does run() (its stream is not yet
+    // synchronized, so it lowers from memory).
+    for (const Engine& engine : kEngines) {
+        Memory mem(1 << 12);
+        mem.load(exit_with(6));
+        Cpu cpu(mem);
+        EXPECT_EQ((cpu.*engine.run)(0).exit_code, 6u) << engine.name;
+    }
 }
 
 }  // namespace

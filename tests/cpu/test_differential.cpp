@@ -1,10 +1,12 @@
-// Dispatch-differential fuzz harness: the decode-once threaded-dispatch
-// interpreter (src/cpu/interp.cpp) must be observably indistinguishable
-// from the legacy fetch/decode/execute loop (src/cpu/cpu.cpp).
+// Engine-differential fuzz harness: Cpu::run(), the decode-once
+// threaded-dispatch interpreter (src/cpu/interp.cpp), must be observably
+// indistinguishable from Cpu::run_reference(), the per-instruction
+// fetch/decode/execute loop over Cpu::step() (src/cpu/cpu.cpp).
 //
 // Thousands of seeded ISA-complete programs (tests/testing/
-// program_gen.hpp) run through BOTH engines; after each run every
-// observable is compared field by field:
+// program_gen.hpp), and every application kernel of all_benchmarks(), run
+// through BOTH paths; after each run every observable is compared field
+// by field:
 //
 //   * the full RunResult (stop reason, exit code, cycle/instruction and
 //     kernel counters, fault address),
@@ -23,12 +25,15 @@
 // reseed per trial — exactly how these runs reseed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/benchmark.hpp"
 #include "cpu/cpu.hpp"
 #include "fi/cdf.hpp"
 #include "fi/mitigation.hpp"
@@ -122,8 +127,9 @@ std::vector<ModelConfig> make_model_configs() {
     a->set_operating_point(op_point());
     configs.push_back({"modelA", std::move(a)});
 
-    // can_inject() == false: legacy still drives corrupt() per op while
-    // threaded takes the clean-model shortcut — stats must still agree.
+    // can_inject() == false: the reference loop still drives corrupt() per
+    // op while run() takes the clean-model shortcut — stats must still
+    // agree.
     auto a0 = std::make_unique<ModelA>(0.0);
     a0->set_operating_point(op_point());
     configs.push_back({"modelA-clean", std::move(a0)});
@@ -161,6 +167,15 @@ std::vector<ModelConfig> make_model_configs() {
 // One run -> everything observable.
 // ---------------------------------------------------------------------------
 
+/// One of the two execution paths under comparison; callers pick the
+/// reference semantics by calling Cpu::run_reference.
+struct Engine {
+    const char* name;
+    RunResult (Cpu::*run)(std::uint64_t);
+};
+constexpr Engine kReference{"reference", &Cpu::run_reference};
+constexpr Engine kThreaded{"threaded", &Cpu::run};
+
 struct Observation {
     RunResult run;
     std::array<std::uint32_t, 32> regs{};
@@ -176,11 +191,12 @@ struct Observation {
     FiStats inner_stats{};
 };
 
-Observation run_one(const Program& program, CpuDispatch dispatch,
-                    const FaultModel* prototype, std::uint64_t seed) {
-    Memory mem(kMemBytes);
+Observation run_one(const Program& program, const Engine& engine,
+                    const FaultModel* prototype, std::uint64_t seed,
+                    std::uint32_t mem_bytes = kMemBytes,
+                    std::uint64_t max_cycles = kMaxCycles) {
+    Memory mem(mem_bytes);
     Cpu cpu(mem);
-    cpu.set_dispatch(dispatch);
     std::unique_ptr<FaultModel> model;
     if (prototype) {
         model = prototype->clone();
@@ -190,15 +206,18 @@ Observation run_one(const Program& program, CpuDispatch dispatch,
     cpu.reset(program);
 
     Observation ob;
-    ob.run = cpu.run(kMaxCycles);
+    ob.run = (cpu.*engine.run)(max_cycles);
     for (std::uint8_t r = 0; r < 32; ++r) ob.regs[r] = cpu.reg(r);
     ob.pc = cpu.pc();
     ob.flag = cpu.flag();
     ob.fi_active = cpu.fi_active();
     ob.cycles = cpu.cycles();
     ob.instructions = cpu.instructions();
-    ob.mem.resize(kMemBytes / 4);
-    for (std::uint32_t w = 0; w < kMemBytes / 4; ++w)
+    // The whole image, read through Memory's invariant that every byte
+    // outside the dirty range is zero (keeps 1 MiB snapshots cheap).
+    ob.mem.assign(mem_bytes / 4, 0);
+    const std::uint32_t hi_word = std::min(mem_bytes / 4, (mem.dirty_hi() + 3) / 4);
+    for (std::uint32_t w = mem.dirty_lo() / 4; w < hi_word; ++w)
         ob.mem[w] = mem.read_u32_unchecked(w * 4);
     if (model) {
         ob.stats = model->stats();
@@ -212,46 +231,47 @@ Observation run_one(const Program& program, CpuDispatch dispatch,
     return ob;
 }
 
-void expect_equal(const Observation& legacy, const Observation& threaded,
+void expect_equal(const Observation& reference, const Observation& threaded,
                   const std::string& ctx) {
-    EXPECT_EQ(int(legacy.run.stop), int(threaded.run.stop)) << ctx;
-    EXPECT_EQ(legacy.run.exit_code, threaded.run.exit_code) << ctx;
-    EXPECT_EQ(legacy.run.cycles, threaded.run.cycles) << ctx;
-    EXPECT_EQ(legacy.run.instructions, threaded.run.instructions) << ctx;
-    EXPECT_EQ(legacy.run.kernel_cycles, threaded.run.kernel_cycles) << ctx;
-    EXPECT_EQ(legacy.run.kernel_instructions, threaded.run.kernel_instructions)
+    EXPECT_EQ(int(reference.run.stop), int(threaded.run.stop)) << ctx;
+    EXPECT_EQ(reference.run.exit_code, threaded.run.exit_code) << ctx;
+    EXPECT_EQ(reference.run.cycles, threaded.run.cycles) << ctx;
+    EXPECT_EQ(reference.run.instructions, threaded.run.instructions) << ctx;
+    EXPECT_EQ(reference.run.kernel_cycles, threaded.run.kernel_cycles) << ctx;
+    EXPECT_EQ(reference.run.kernel_instructions, threaded.run.kernel_instructions)
         << ctx;
-    EXPECT_EQ(legacy.run.fault_addr, threaded.run.fault_addr) << ctx;
+    EXPECT_EQ(reference.run.fault_addr, threaded.run.fault_addr) << ctx;
 
     for (std::uint8_t r = 0; r < 32; ++r)
-        if (legacy.regs[r] != threaded.regs[r])
-            ADD_FAILURE() << ctx << ": r" << int(r) << " legacy=0x" << std::hex
-                          << legacy.regs[r] << " threaded=0x" << threaded.regs[r];
-    EXPECT_EQ(legacy.pc, threaded.pc) << ctx;
-    EXPECT_EQ(legacy.flag, threaded.flag) << ctx;
-    EXPECT_EQ(legacy.fi_active, threaded.fi_active) << ctx;
-    EXPECT_EQ(legacy.cycles, threaded.cycles) << ctx;
-    EXPECT_EQ(legacy.instructions, threaded.instructions) << ctx;
+        if (reference.regs[r] != threaded.regs[r])
+            ADD_FAILURE() << ctx << ": r" << int(r) << " reference=0x" << std::hex
+                          << reference.regs[r] << " threaded=0x" << threaded.regs[r];
+    EXPECT_EQ(reference.pc, threaded.pc) << ctx;
+    EXPECT_EQ(reference.flag, threaded.flag) << ctx;
+    EXPECT_EQ(reference.fi_active, threaded.fi_active) << ctx;
+    EXPECT_EQ(reference.cycles, threaded.cycles) << ctx;
+    EXPECT_EQ(reference.instructions, threaded.instructions) << ctx;
 
-    ASSERT_EQ(legacy.mem.size(), threaded.mem.size()) << ctx;
-    for (std::size_t w = 0; w < legacy.mem.size(); ++w)
-        if (legacy.mem[w] != threaded.mem[w]) {
-            ADD_FAILURE() << ctx << ": mem word 0x" << std::hex << w * 4
-                          << " legacy=0x" << legacy.mem[w] << " threaded=0x"
-                          << threaded.mem[w];
-            break;  // first divergence is the informative one
-        }
+    ASSERT_EQ(reference.mem.size(), threaded.mem.size()) << ctx;
+    if (reference.mem != threaded.mem) {
+        // The first divergence is the informative one.
+        std::size_t w = 0;
+        while (reference.mem[w] == threaded.mem[w]) ++w;
+        ADD_FAILURE() << ctx << ": mem word 0x" << std::hex << w * 4
+                      << " reference=0x" << reference.mem[w] << " threaded=0x"
+                      << threaded.mem[w];
+    }
 
-    EXPECT_EQ(legacy.stats.fi_cycles, threaded.stats.fi_cycles) << ctx;
-    EXPECT_EQ(legacy.stats.alu_ops, threaded.stats.alu_ops) << ctx;
-    EXPECT_EQ(legacy.stats.injections, threaded.stats.injections) << ctx;
-    EXPECT_EQ(legacy.stats.corrupted_ops, threaded.stats.corrupted_ops) << ctx;
-    EXPECT_EQ(legacy.detected, threaded.detected) << ctx;
-    EXPECT_EQ(legacy.escaped, threaded.escaped) << ctx;
-    EXPECT_EQ(legacy.inner_stats.alu_ops, threaded.inner_stats.alu_ops) << ctx;
-    EXPECT_EQ(legacy.inner_stats.injections, threaded.inner_stats.injections)
+    EXPECT_EQ(reference.stats.fi_cycles, threaded.stats.fi_cycles) << ctx;
+    EXPECT_EQ(reference.stats.alu_ops, threaded.stats.alu_ops) << ctx;
+    EXPECT_EQ(reference.stats.injections, threaded.stats.injections) << ctx;
+    EXPECT_EQ(reference.stats.corrupted_ops, threaded.stats.corrupted_ops) << ctx;
+    EXPECT_EQ(reference.detected, threaded.detected) << ctx;
+    EXPECT_EQ(reference.escaped, threaded.escaped) << ctx;
+    EXPECT_EQ(reference.inner_stats.alu_ops, threaded.inner_stats.alu_ops) << ctx;
+    EXPECT_EQ(reference.inner_stats.injections, threaded.inner_stats.injections)
         << ctx;
-    EXPECT_EQ(legacy.inner_stats.corrupted_ops,
+    EXPECT_EQ(reference.inner_stats.corrupted_ops,
               threaded.inner_stats.corrupted_ops)
         << ctx;
 }
@@ -275,12 +295,12 @@ TEST(DispatchDifferential, NoFaultThousandsOfSeeds) {
     std::map<StopReason, std::size_t> reasons;
     for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
         const Program program = testgen::generate_fuzz_program(seed);
-        const Observation legacy =
-            run_one(program, CpuDispatch::Legacy, nullptr, seed);
+        const Observation reference =
+            run_one(program, kReference, nullptr, seed);
         const Observation threaded =
-            run_one(program, CpuDispatch::Threaded, nullptr, seed);
-        expect_equal(legacy, threaded, "seed " + std::to_string(seed));
-        ++reasons[legacy.run.stop];
+            run_one(program, kThreaded, nullptr, seed);
+        expect_equal(reference, threaded, "seed " + std::to_string(seed));
+        ++reasons[reference.run.stop];
         if (HasFailure()) break;  // one seed's dump is enough to debug
     }
     // The sweep must exercise every termination path the generator is
@@ -303,11 +323,11 @@ TEST(DispatchDifferential, NoFaultLongPrograms) {
     cfg.body_length = 256;
     for (std::uint64_t seed = 1; seed <= 200; ++seed) {
         const Program program = testgen::generate_fuzz_program(seed, cfg);
-        const Observation legacy =
-            run_one(program, CpuDispatch::Legacy, nullptr, seed);
+        const Observation reference =
+            run_one(program, kReference, nullptr, seed);
         const Observation threaded =
-            run_one(program, CpuDispatch::Threaded, nullptr, seed);
-        expect_equal(legacy, threaded, "long seed " + std::to_string(seed));
+            run_one(program, kThreaded, nullptr, seed);
+        expect_equal(reference, threaded, "long seed " + std::to_string(seed));
         if (HasFailure()) break;
     }
 }
@@ -324,13 +344,13 @@ TEST(DispatchDifferential, FaultModelsSeveralHundredSeedsEach) {
         std::uint64_t injections = 0;
         for (std::uint64_t seed = 1; seed <= 300; ++seed) {
             const Program program = testgen::generate_fuzz_program(seed);
-            const Observation legacy = run_one(program, CpuDispatch::Legacy,
+            const Observation reference = run_one(program, kReference,
                                                config.prototype.get(), seed);
             const Observation threaded = run_one(
-                program, CpuDispatch::Threaded, config.prototype.get(), seed);
-            expect_equal(legacy, threaded,
+                program, kThreaded, config.prototype.get(), seed);
+            expect_equal(reference, threaded,
                          config.label + " seed " + std::to_string(seed));
-            injections += legacy.stats.injections;
+            injections += reference.stats.injections;
             if (HasFailure()) break;
         }
         // The injecting configurations must actually inject, or the
@@ -340,6 +360,87 @@ TEST(DispatchDifferential, FaultModelsSeveralHundredSeedsEach) {
         else
             EXPECT_EQ(injections, 0u) << config.label;
     }
+}
+
+// ---------------------------------------------------------------------------
+// The paper's application kernels: every benchmark of all_benchmarks()
+// under each synthetic prototype, in the default memory and with the
+// Monte-Carlo watchdog (8x the fault-free run). Unlike the generated
+// programs these run the real workloads end to end — deep loops,
+// kernel-window markers, output buffers — which the figure campaigns run
+// through run() alone. The prototypes are re-pointed over a frequency
+// sweep, because the suite's 549 MHz point crashes every kernel within a
+// few cycles: on the synthetic timing 420 MHz is fault-free for B/B+ (the
+// clean-model shortcut on real code) and sparse for C, 460-520 MHz are
+// transitions where faulty kernels halt, hang or crash late, and 549 MHz
+// is the collapse. Every (frequency, seed) pair reseeds differently, so
+// frequency-blind model A sees distinct streams too.
+// ---------------------------------------------------------------------------
+
+TEST(DispatchDifferential, ApplicationKernelsUnderEveryModel) {
+    constexpr double kFreqsMhz[] = {420.0, 460.0, 500.0, 520.0, 549.0};
+    constexpr std::uint64_t kSeedsPerFreq = 2;
+    const std::vector<ModelConfig> configs = make_model_configs();
+    std::map<std::string, std::uint64_t> injections;
+    std::map<StopReason, std::size_t> reasons;
+    for (const BenchmarkId id : all_benchmarks()) {
+        const auto benchmark = make_benchmark(id);
+        const Program& program = benchmark->program();
+        const auto compare = [&](const FaultModel* prototype,
+                                 std::uint64_t seed, std::uint64_t watchdog,
+                                 const std::string& ctx) {
+            const Observation reference = run_one(
+                program, kReference, prototype, seed, Memory::kDefaultSize, watchdog);
+            const Observation threaded = run_one(
+                program, kThreaded, prototype, seed, Memory::kDefaultSize, watchdog);
+            expect_equal(reference, threaded, benchmark->name() + " " + ctx);
+            ++reasons[reference.run.stop];
+            return reference;
+        };
+        const Observation golden = compare(nullptr, 0, 0, "no-hook");
+        ASSERT_EQ(int(golden.run.stop), int(StopReason::Halted))
+            << benchmark->name();
+        const std::uint64_t watchdog = 8 * golden.run.cycles;
+        for (const ModelConfig& config : configs) {
+            if (!config.prototype) continue;
+            std::uint64_t seed = 0;
+            bool clean_run_done = false;
+            for (const double f : kFreqsMhz) {
+                const std::unique_ptr<FaultModel> model = config.prototype->clone();
+                OperatingPoint point = model->operating_point();
+                point.freq_mhz = f;
+                model->set_operating_point(point);
+                // A model that cannot inject runs the same way at every
+                // such point and seed: once per kernel is enough.
+                if (!model->can_inject() && std::exchange(clean_run_done, true))
+                    continue;
+                const std::uint64_t seeds = model->can_inject() ? kSeedsPerFreq : 1;
+                for (std::uint64_t s = 0; s < seeds; ++s) {
+                    ++seed;
+                    const Observation reference = compare(
+                        model.get(), seed, watchdog,
+                        config.label + " " + std::to_string(f) + " MHz seed " +
+                            std::to_string(seed));
+                    injections[config.label] += reference.stats.injections;
+                    if (HasFailure()) return;
+                }
+            }
+        }
+    }
+    // Every injecting prototype must corrupt some kernel run, or its
+    // per-op hook path was not compared on real code; faulty kernels must
+    // reach more than one ending.
+    for (const ModelConfig& config : configs) {
+        if (config.prototype && config.prototype->can_inject()) {
+            EXPECT_GT(injections[config.label], 0u) << config.label;
+        }
+    }
+    EXPECT_GT(reasons[StopReason::Halted], 0u);
+    EXPECT_GT(reasons[StopReason::Watchdog], 0u);
+    EXPECT_GT(reasons[StopReason::MemFault], 0u);
+    for (const auto& [reason, count] : reasons)
+        std::cout << "[coverage] " << stop_reason_name(reason) << ": " << count
+                  << "\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -387,45 +488,43 @@ public:
 TEST(DispatchDifferential, GenericHookSeesIdenticalCallSequence) {
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
         const Program program = testgen::generate_fuzz_program(seed);
-        RecordingHook legacy_hook, threaded_hook;
-        RunResult legacy_run, threaded_run;
-        std::array<std::uint32_t, 32> legacy_regs{}, threaded_regs{};
+        RecordingHook reference_hook, threaded_hook;
+        RunResult reference_run, threaded_run;
+        std::array<std::uint32_t, 32> reference_regs{}, threaded_regs{};
         {
             Memory mem(kMemBytes);
             Cpu cpu(mem);
-            cpu.set_dispatch(CpuDispatch::Legacy);
-            cpu.set_fault_hook(&legacy_hook);
+            cpu.set_fault_hook(&reference_hook);
             cpu.reset(program);
-            legacy_run = cpu.run(kMaxCycles);
-            for (std::uint8_t r = 0; r < 32; ++r) legacy_regs[r] = cpu.reg(r);
+            reference_run = cpu.run_reference(kMaxCycles);
+            for (std::uint8_t r = 0; r < 32; ++r) reference_regs[r] = cpu.reg(r);
         }
         {
             Memory mem(kMemBytes);
             Cpu cpu(mem);
-            cpu.set_dispatch(CpuDispatch::Threaded);
             cpu.set_fault_hook(&threaded_hook);
             cpu.reset(program);
             threaded_run = cpu.run(kMaxCycles);
             for (std::uint8_t r = 0; r < 32; ++r) threaded_regs[r] = cpu.reg(r);
         }
         const std::string ctx = "seed " + std::to_string(seed);
-        EXPECT_EQ(int(legacy_run.stop), int(threaded_run.stop)) << ctx;
-        EXPECT_EQ(legacy_run.cycles, threaded_run.cycles) << ctx;
-        EXPECT_EQ(legacy_regs, threaded_regs) << ctx;
+        EXPECT_EQ(int(reference_run.stop), int(threaded_run.stop)) << ctx;
+        EXPECT_EQ(reference_run.cycles, threaded_run.cycles) << ctx;
+        EXPECT_EQ(reference_regs, threaded_regs) << ctx;
 
-        ASSERT_EQ(legacy_hook.groups.size(), threaded_hook.groups.size()) << ctx;
-        for (std::size_t i = 0; i < legacy_hook.groups.size(); ++i)
-            if (!(legacy_hook.groups[i] == threaded_hook.groups[i])) {
-                ADD_FAILURE() << ctx << ": cycle group " << i << " legacy=("
-                              << legacy_hook.groups[i].n << ","
-                              << legacy_hook.groups[i].fi << ") threaded=("
+        ASSERT_EQ(reference_hook.groups.size(), threaded_hook.groups.size()) << ctx;
+        for (std::size_t i = 0; i < reference_hook.groups.size(); ++i)
+            if (!(reference_hook.groups[i] == threaded_hook.groups[i])) {
+                ADD_FAILURE() << ctx << ": cycle group " << i << " reference=("
+                              << reference_hook.groups[i].n << ","
+                              << reference_hook.groups[i].fi << ") threaded=("
                               << threaded_hook.groups[i].n << ","
                               << threaded_hook.groups[i].fi << ")";
                 break;
             }
-        ASSERT_EQ(legacy_hook.events.size(), threaded_hook.events.size()) << ctx;
-        for (std::size_t i = 0; i < legacy_hook.events.size(); ++i)
-            if (!(legacy_hook.events[i] == threaded_hook.events[i])) {
+        ASSERT_EQ(reference_hook.events.size(), threaded_hook.events.size()) << ctx;
+        for (std::size_t i = 0; i < reference_hook.events.size(); ++i)
+            if (!(reference_hook.events[i] == threaded_hook.events[i])) {
                 ADD_FAILURE() << ctx << ": EX event " << i << " diverged";
                 break;
             }
@@ -434,33 +533,32 @@ TEST(DispatchDifferential, GenericHookSeesIdenticalCallSequence) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch switching on one Cpu instance: alternating engines on the
-// same object (decode caches warm, hazard state carried through reset)
-// must not leak state from one engine into the other.
+// Path switching on one Cpu instance: alternating run() and
+// run_reference() on the same object (micro-op stream warm, hazard state
+// carried through reset) must not leak state from one path into the
+// other.
 // ---------------------------------------------------------------------------
 
 TEST(DispatchDifferential, AlternatingDispatchOnOneCpuMatchesFreshRuns) {
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         const Program program = testgen::generate_fuzz_program(seed);
-        const Observation fresh_legacy =
-            run_one(program, CpuDispatch::Legacy, nullptr, seed);
+        const Observation fresh_reference =
+            run_one(program, kReference, nullptr, seed);
         const Observation fresh_threaded =
-            run_one(program, CpuDispatch::Threaded, nullptr, seed);
+            run_one(program, kThreaded, nullptr, seed);
 
         Memory mem(kMemBytes);
         Cpu cpu(mem);
         for (int round = 0; round < 2; ++round) {
-            for (const CpuDispatch dispatch :
-                 {CpuDispatch::Threaded, CpuDispatch::Legacy}) {
-                cpu.set_dispatch(dispatch);
+            for (const Engine& engine : {kThreaded, kReference}) {
                 cpu.reset(program);
-                const RunResult run = cpu.run(kMaxCycles);
-                const RunResult& want = dispatch == CpuDispatch::Legacy
-                                            ? fresh_legacy.run
+                const RunResult run = (cpu.*engine.run)(kMaxCycles);
+                const RunResult& want = engine.run == kReference.run
+                                            ? fresh_reference.run
                                             : fresh_threaded.run;
                 const std::string ctx = "seed " + std::to_string(seed) +
                                         " round " + std::to_string(round) +
-                                        " " + cpu_dispatch_name(dispatch);
+                                        " " + engine.name;
                 EXPECT_EQ(int(run.stop), int(want.stop)) << ctx;
                 EXPECT_EQ(run.cycles, want.cycles) << ctx;
                 EXPECT_EQ(run.instructions, want.instructions) << ctx;

@@ -1,7 +1,8 @@
 // Fault-forensics layer (src/fi/forensics.{hpp,cpp} + the classifier in
 // src/mc/montecarlo.cpp):
 //
-//  * FaultRecord binary round-trip and the reader's header validation;
+//  * FaultRecord binary round-trip and the reader's header validation,
+//    including hostile counts and seeded mutants of a valid stream;
 //  * classification edges — zero-injection trials are Masked vacuously
 //    (fast path on and off), watchdog trials are never SDC, razor models
 //    classify Detected with latency >= 0, and the arch-state diff ignores
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -137,6 +139,114 @@ TEST(FaultRecordStream, ReaderRejectsBadMagicSizeAndTruncation) {
 
     std::istringstream short_is(good.substr(0, good.size() - 1));
     EXPECT_THROW(read_fault_records(short_is), std::runtime_error);
+}
+
+/// A read-only stream buffer that cannot seek, like a pipe: the reader
+/// cannot measure what is left and must bound what it reserves.
+class PipeBuf : public std::stringbuf {
+public:
+    explicit PipeBuf(const std::string& bytes) : std::stringbuf(bytes, std::ios::in) {}
+
+protected:
+    pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
+        return pos_type(off_type(-1));
+    }
+    pos_type seekpos(pos_type, std::ios::openmode) override {
+        return pos_type(off_type(-1));
+    }
+};
+
+/// The 16-byte header alone, claiming `count` records.
+std::string header_claiming(std::uint32_t count) {
+    std::ostringstream os;
+    write_fault_records(os, {});
+    std::string bytes = os.str();
+    for (int i = 0; i < 4; ++i)
+        bytes[12 + i] = static_cast<char>(count >> (8 * i));
+    return bytes;
+}
+
+TEST(FaultRecordStream, HostileHeaderCountThrowsBeforeSizing) {
+    // A seekable stream is measured first, so nothing is sized from the
+    // header; a pipe reserves a bounded prefix and fails on truncation.
+    // Either way the documented std::runtime_error, never std::bad_alloc.
+    for (const std::uint32_t count : {1u, 50'000'000u, 0xFFFFFFFFu}) {
+        std::istringstream seekable(header_claiming(count));
+        try {
+            read_fault_records(seekable);
+            ADD_FAILURE() << "accepted a header claiming " << count;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("exceeds the stream"),
+                      std::string::npos)
+                << count << ": " << e.what();
+        }
+        PipeBuf pipe(header_claiming(count));
+        std::istream piped(&pipe);
+        EXPECT_THROW(read_fault_records(piped), std::runtime_error) << count;
+    }
+}
+
+TEST(FaultRecordStream, SeededMutantsThrowOrLoadRecordsThatRoundTrip) {
+    // Each mutant is one random edit of a valid stream: a bit flip
+    // anywhere, a hostile record count or record size, or a truncation.
+    // Read from a seekable stream and from a pipe, it must either throw
+    // std::runtime_error or load records that the payload holds and that
+    // survive a write/read round trip.
+    std::ostringstream os;
+    write_fault_records(os, synthetic_records());
+    const std::string valid = os.str();
+    const std::uint32_t hostile[] = {0, 1, 56, 57, 58, 1u << 16, 50'000'000u,
+                                     0x7FFFFFFFu, 0xFFFFFFFFu};
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    Rng rng(2024);
+    for (int m = 0; m < 2000; ++m) {
+        std::string bytes = valid;
+        const std::uint64_t kind = rng.bounded(4);
+        switch (kind) {
+            case 0:  // one flipped bit anywhere
+                bytes[rng.bounded(bytes.size())] ^=
+                    static_cast<char>(1u << rng.bounded(8));
+                break;
+            case 1:    // a hostile record count
+            case 2: {  // a hostile record size
+                const std::uint32_t value = hostile[rng.bounded(std::size(hostile))];
+                const std::size_t at = kind == 1 ? 12 : 8;
+                for (int i = 0; i < 4; ++i)
+                    bytes[at + i] = static_cast<char>(value >> (8 * i));
+                break;
+            }
+            default:  // truncated anywhere
+                bytes.resize(rng.bounded(bytes.size()));
+                break;
+        }
+        for (const bool seekable : {true, false}) {
+            SCOPED_TRACE("mutant " + std::to_string(m) + " kind " +
+                         std::to_string(kind) + (seekable ? " seekable" : " pipe"));
+            std::istringstream string_is(bytes);
+            PipeBuf pipe(bytes);
+            std::istream pipe_is(&pipe);
+            std::istream& is = seekable ? static_cast<std::istream&>(string_is)
+                                        : pipe_is;
+            std::vector<FaultRecord> records;
+            try {
+                records = read_fault_records(is);
+            } catch (const std::runtime_error&) {
+                ++rejected;
+                continue;
+            }
+            ++loaded;
+            EXPECT_LE(16 + records.size() * kFaultRecordBytes, bytes.size());
+            std::ostringstream again;
+            write_fault_records(again, records);
+            std::istringstream again_is(again.str());
+            EXPECT_EQ(read_fault_records(again_is), records);
+        }
+        if (HasFailure()) return;
+    }
+    // Both outcomes must occur, or the mutator is not probing the boundary.
+    EXPECT_GT(loaded, 500u);
+    EXPECT_GT(rejected, 500u);
 }
 
 TEST(LatencyHistogram, PowerOfTwoBuckets) {

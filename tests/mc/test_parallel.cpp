@@ -164,7 +164,8 @@ TEST(ParallelEquivalence, EngineOutcomesMatchSerialPerTrialIndex) {
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, wide_thread_count()}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        const auto outcomes = run_trials_parallel(runner, p, threads);
+        const auto outcomes = run_trial_block(
+            runner, p, 0, 12, make_trial_contexts(runner, threads));
         ASSERT_EQ(outcomes.size(), reference.size());
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
             SCOPED_TRACE("trial " + std::to_string(i));

@@ -12,7 +12,7 @@
 //    dispatch-differential harness (tests/cpu/test_differential.cpp):
 //    every opcode of the subset, forward/backward branches including
 //    statically-known self-loops, register-indirect jumps with controlled
-//    targets (bounded so the legacy engine's u32 pc arithmetic never
+//    targets (bounded so the u32 pc arithmetic of either engine never
 //    wraps), loads/stores including self-modifying stores into the code
 //    image, kernel FI markers, edge-case immediates, and occasional
 //    undecodable words. Programs terminate via an exit nop, a fault, a
