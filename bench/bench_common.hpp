@@ -26,11 +26,12 @@
 //   --no-csv         disable CSV output
 //   --fault-sampling MODE  noise-draw sampling path for models B/B+/C:
 //                    "batched" (block-prefetched draws, bit-identical to
-//                    scalar, default), "scalar" (per-op reference path),
-//                    or "quantized" (alias-table index sampling; faster
-//                    but a distinct sampling distribution variant — model
-//                    names gain a "-q" suffix and store/cache keys are
-//                    salted so results never collide with exact runs).
+//                    the per-op scalar reference the tests hold it to;
+//                    default) or "quantized" (alias-table index
+//                    sampling; faster but a distinct sampling
+//                    distribution variant — model names gain a "-q"
+//                    suffix and store/cache keys are salted so results
+//                    never collide with exact runs).
 //   --forensics DIR  opt-in fault forensics: every Benchmark-kernel
 //                    campaign point re-runs its first --forensics-trials
 //                    trials under the forensic probe and the
@@ -87,18 +88,6 @@ inline std::vector<std::string> known_flags(std::vector<std::string> extra) {
     known.insert(known.end(), std::make_move_iterator(extra.begin()),
                  std::make_move_iterator(extra.end()));
     return known;
-}
-
-/// Runs one strict Cli parser; the std::invalid_argument it throws on a
-/// bad value is printed and exits 2.
-template <typename Parse>
-auto or_exit(Parse parse) {
-    try {
-        return parse();
-    } catch (const std::invalid_argument& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        std::exit(2);
-    }
 }
 
 struct Context {
@@ -249,8 +238,8 @@ private:
         const std::string mode = cli.get("fault-sampling", "batched");
         const auto parsed = parse_fault_sampling_mode(mode);
         if (!parsed) {
-            std::cerr << "error: --fault-sampling must be one of scalar, "
-                         "batched, quantized (got \"" << mode << "\")\n";
+            std::cerr << "error: --fault-sampling must be one of batched, "
+                         "quantized (got \"" << mode << "\")\n";
             std::exit(2);
         }
         return *parsed;

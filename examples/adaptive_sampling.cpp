@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
     using namespace sfi;
     const Cli cli(argc, argv);
+    const std::size_t threads = or_exit([&] { return cli.get_threads(); });
 
     CoreModelConfig config;
     config.cdf_cache_path = "sfi_cdf_cache.bin";
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
     auto model = core.make_model_c();
     McConfig mc;
     mc.trials = 40;  // the fixed-N budget an adaptive run competes with
-    mc.threads = cli.get_threads();
+    mc.threads = threads;
     MonteCarloRunner runner(*bench, *model, mc);
 
     // 1. One operating point under a target-CI policy: batches run until

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     campaign::RunOptions options;
     options.store_path = "quickstart_points.bin";
     options.csv_dir = "quickstart_csv";
-    options.threads = cli.get_threads();
+    options.threads = or_exit([&] { return cli.get_threads(); });
     options.console = &std::cout;
 
     std::cout << "first run (computes every point):\n\n";

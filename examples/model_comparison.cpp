@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
     McConfig mc;
     mc.trials = static_cast<std::size_t>(cli.get_int("trials", 40));
-    mc.threads = cli.get_threads();
+    mc.threads = or_exit([&] { return cli.get_threads(); });
 
     OperatingPoint base;
     base.vdd = 0.7;

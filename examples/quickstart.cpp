@@ -10,6 +10,8 @@
 int main(int argc, char** argv) {
     using namespace sfi;
     const Cli cli(argc, argv);
+    // 0 = one worker per hardware thread; any value is bit-identical.
+    const std::size_t threads = or_exit([&] { return cli.get_threads(); });
 
     // 1. Build and characterize the core: gate-level ALU netlist, timing
     //    calibration to the paper's 28 nm operating point (707 MHz STA
@@ -40,8 +42,7 @@ int main(int argc, char** argv) {
     // 4. Monte-Carlo fault-injection campaign.
     McConfig mc;
     mc.trials = static_cast<std::size_t>(cli.get_int("trials", 50));
-    // 0 = one worker per hardware thread; any value is bit-identical.
-    mc.threads = cli.get_threads();
+    mc.threads = threads;
     MonteCarloRunner runner(*bench, *model, mc);
     std::cout << bench->name() << ": fault-free kernel = "
               << runner.golden_run().kernel_cycles << " cycles\n";

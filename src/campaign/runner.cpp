@@ -422,8 +422,6 @@ PanelResult CampaignRunner::run_panel(const PanelSpec& panel) {
             ensure_executor();
             const std::size_t sample =
                 std::min<std::size_t>(options_.forensics_trials, summary.trials);
-            const perf::ScopedPhaseTimer forensic_timer(
-                mc->perf_profile(), perf::Phase::Forensics, sample);
             const std::uint32_t pid = forensic_sink_->begin_point(
                 panel.name, forensic_model, forensic_kernel, point);
             for (TrialForensics& fx : executor->run_forensics(point, sample))

@@ -498,17 +498,10 @@ RunResult Cpu::run_threaded_impl(std::uint64_t max_cycles, Policy policy) {
     InterpState& state = *interp_;  // run_threaded() ensured it
 
 #if SFI_COMPUTED_GOTO
-    // Order must match UopKind exactly.
     static const void* const kDispatchTable[] = {
-        &&K_Illegal, &&K_Nop, &&K_NopExit, &&K_NopKernelBegin,
-        &&K_NopKernelEnd, &&K_Movhi, &&K_J, &&K_JSelfLoop, &&K_Jal, &&K_Jr,
-        &&K_Jalr, &&K_Bf, &&K_BfSelfLoop, &&K_Bnf, &&K_BnfSelfLoop, &&K_Lwz,
-        &&K_Lbz, &&K_Lhz, &&K_Sw, &&K_Sb, &&K_Sh,
-        &&K_AddReg, &&K_SubReg, &&K_AndReg, &&K_OrReg, &&K_XorReg,
-        &&K_SllReg, &&K_SrlReg, &&K_SraReg, &&K_MulReg,
-        &&K_AddImm, &&K_SubImm, &&K_AndImm, &&K_OrImm, &&K_XorImm,
-        &&K_SllImm, &&K_SrlImm, &&K_SraImm, &&K_MulImm,
-        &&K_CmpReg, &&K_CmpImm,
+#define SFI_UOP_LABEL(name) &&K_##name,
+        SFI_FORALL_UOP_KINDS(SFI_UOP_LABEL)
+#undef SFI_UOP_LABEL
     };
     static_assert(sizeof(kDispatchTable) / sizeof(kDispatchTable[0]) ==
                   kUopKindCount);

@@ -37,38 +37,34 @@ namespace sfi {
 
 struct Program;  // isa/assembler.hpp
 
-/// Micro-op kinds: one kernel per kind. ALU kinds are specialized per
-/// ExClass and operand form so each kernel body is a single expression
-/// instead of a switch; compare kinds stay generic over the ten l.sf*
-/// predicates (MicroOp::op carries the predicate for
-/// compare_flag_from_diff). Jump/branch kinds with a statically known
-/// self-loop (imm == 0) are lowered to dedicated stop kinds.
+/// Micro-op kinds: one kernel per kind, in UopKind order. This list
+/// generates both UopKind and the interpreter's computed-goto table.
+///   Illegal    the word does not decode; must stay kind 0, because fresh
+///              slots are zero-initialized
+///   Nop        plain l.nop and l.nop 0x2 (report)
+///   *SelfLoop  l.j/l.bf/l.bnf with offset 0, a statically known
+///              self-loop, lowered to a dedicated stop kernel
+///   ALU kinds  one per ExClass and operand form, so each kernel body is
+///              a single expression; they follow the ExClass order from
+///              Add, which lower_uop relies on (static_asserts in
+///              interp.cpp)
+///   Cmp*       generic over the ten l.sf* predicates; MicroOp::aux
+///              carries the predicate for compare_flag_from_diff_kind
+#define SFI_FORALL_UOP_KINDS(X)                                        \
+    X(Illegal) X(Nop) X(NopExit) X(NopKernelBegin) X(NopKernelEnd)     \
+    X(Movhi) X(J) X(JSelfLoop) X(Jal) X(Jr) X(Jalr)                    \
+    X(Bf) X(BfSelfLoop) X(Bnf) X(BnfSelfLoop)                          \
+    X(Lwz) X(Lbz) X(Lhz) X(Sw) X(Sb) X(Sh)                             \
+    X(AddReg) X(SubReg) X(AndReg) X(OrReg) X(XorReg)                   \
+    X(SllReg) X(SrlReg) X(SraReg) X(MulReg)                            \
+    X(AddImm) X(SubImm) X(AndImm) X(OrImm) X(XorImm)                   \
+    X(SllImm) X(SrlImm) X(SraImm) X(MulImm)                            \
+    X(CmpReg) X(CmpImm)
+
 enum class UopKind : std::uint8_t {
-    Illegal,  ///< word does not decode; must stay kind 0 (zero-init)
-    Nop,      ///< plain l.nop / l.nop 0x2 (report)
-    NopExit,
-    NopKernelBegin,
-    NopKernelEnd,
-    Movhi,
-    J,
-    JSelfLoop,  ///< l.j 0 — unconditional jump-to-self (StopReason::SelfLoop)
-    Jal,
-    Jr,
-    Jalr,
-    Bf,
-    BfSelfLoop,  ///< l.bf 0 — self-loop iff taken
-    Bnf,
-    BnfSelfLoop,
-    Lwz,
-    Lbz,
-    Lhz,
-    Sw,
-    Sb,
-    Sh,
-    AddReg, SubReg, AndReg, OrReg, XorReg, SllReg, SrlReg, SraReg, MulReg,
-    AddImm, SubImm, AndImm, OrImm, XorImm, SllImm, SrlImm, SraImm, MulImm,
-    CmpReg,  ///< l.sf* register form (flag from compare_flag_from_diff)
-    CmpImm,  ///< l.sf*i immediate form
+#define SFI_UOP_ENUM(name) name,
+    SFI_FORALL_UOP_KINDS(SFI_UOP_ENUM)
+#undef SFI_UOP_ENUM
     kCount,
 };
 

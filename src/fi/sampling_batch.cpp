@@ -16,7 +16,6 @@ const char* fault_sampling_mode_name(FaultSamplingMode mode) {
 
 std::optional<FaultSamplingMode> parse_fault_sampling_mode(
     const std::string& name) {
-    if (name == "scalar") return FaultSamplingMode::Scalar;
     if (name == "batched") return FaultSamplingMode::Batched;
     if (name == "quantized") return FaultSamplingMode::Quantized;
     return std::nullopt;

@@ -63,8 +63,9 @@ enum class FaultSamplingMode : std::uint8_t {
 
 const char* fault_sampling_mode_name(FaultSamplingMode mode);
 
-/// Parses a --fault-sampling flag value ("scalar" / "batched" /
-/// "quantized"); nullopt for anything else.
+/// Parses a --fault-sampling flag value ("batched" / "quantized");
+/// nullopt for anything else. Scalar is not a flag value: it is the test
+/// oracle and sfi_perf's sampling-floor reference, selected in code.
 std::optional<FaultSamplingMode> parse_fault_sampling_mode(
     const std::string& name);
 

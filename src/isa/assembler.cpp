@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "isa/encoding.hpp"
 
@@ -376,7 +377,6 @@ private:
         if (!op) throw AsmError(st.line, "unknown mnemonic '" + st.head + "'");
         Instr i;
         i.op = *op;
-        const OpInfo& info = op_info(*op);
         const auto& ops = st.operands;
         auto need = [&](std::size_t n) {
             if (ops.size() != n)
@@ -384,61 +384,58 @@ private:
                                             " operand(s), got " +
                                             std::to_string(ops.size()));
         };
-        const bool undef_ok = !emit;
-        switch (*op) {
-            case Op::J: case Op::JAL: case Op::BF: case Op::BNF:
+        auto imm = [&](const std::string& text) {
+            return static_cast<std::int32_t>(eval(text, st.line, /*allow_undef=*/!emit));
+        };
+        const Format format = op_info(*op).format;
+        switch (format) {
+            case Format::N26:
                 need(1);
                 i.imm = parse_branch_target(ops[0], st.line, emit);
                 break;
-            case Op::JR: case Op::JALR:
+            case Format::JumpReg:
                 need(1);
                 i.rb = parse_reg(ops[0], st.line);
                 break;
-            case Op::NOP:
+            case Format::Nop:
                 if (ops.size() > 1) need(1);
-                i.imm = ops.empty() ? 0
-                                    : static_cast<std::int32_t>(
-                                          eval(ops[0], st.line, undef_ok));
+                i.imm = ops.empty() ? 0 : imm(ops[0]);
                 break;
-            case Op::MOVHI:
+            case Format::Movhi:
                 need(2);
                 i.rd = parse_reg(ops[0], st.line);
                 i.imm = static_cast<std::int32_t>(
-                    static_cast<std::uint32_t>(eval(ops[1], st.line, undef_ok)) & 0xffffu);
+                    static_cast<std::uint32_t>(imm(ops[1])) & 0xffffu);
                 break;
-            case Op::LWZ: case Op::LBZ: case Op::LHZ: {
+            case Format::Load:
                 need(2);
                 i.rd = parse_reg(ops[0], st.line);
-                const auto [imm, ra] = parse_mem(ops[1], st.line, emit);
-                i.imm = imm;
-                i.ra = ra;
+                std::tie(i.imm, i.ra) = parse_mem(ops[1], st.line, emit);
                 break;
-            }
-            case Op::SW: case Op::SB: case Op::SH: {
+            case Format::Store:
                 need(2);
-                const auto [imm, ra] = parse_mem(ops[0], st.line, emit);
-                i.imm = imm;
-                i.ra = ra;
+                std::tie(i.imm, i.ra) = parse_mem(ops[0], st.line, emit);
                 i.rb = parse_reg(ops[1], st.line);
                 break;
-            }
-            default:
-                if (info.sets_flag) {
-                    need(2);
-                    i.ra = parse_reg(ops[0], st.line);
-                    if (info.has_imm)
-                        i.imm = static_cast<std::int32_t>(eval(ops[1], st.line, undef_ok));
-                    else
-                        i.rb = parse_reg(ops[1], st.line);
-                } else {
-                    need(3);
-                    i.rd = parse_reg(ops[0], st.line);
-                    i.ra = parse_reg(ops[1], st.line);
-                    if (info.has_imm)
-                        i.imm = static_cast<std::int32_t>(eval(ops[2], st.line, undef_ok));
-                    else
-                        i.rb = parse_reg(ops[2], st.line);
-                }
+            case Format::AluReg:
+            case Format::AluImm:
+            case Format::ShiftImm:
+                need(3);
+                i.rd = parse_reg(ops[0], st.line);
+                i.ra = parse_reg(ops[1], st.line);
+                if (format == Format::AluReg)
+                    i.rb = parse_reg(ops[2], st.line);
+                else
+                    i.imm = imm(ops[2]);
+                break;
+            case Format::SetFlagReg:
+            case Format::SetFlagImm:
+                need(2);
+                i.ra = parse_reg(ops[0], st.line);
+                if (format == Format::SetFlagReg)
+                    i.rb = parse_reg(ops[1], st.line);
+                else
+                    i.imm = imm(ops[1]);
                 break;
         }
         std::uint32_t word = 0;

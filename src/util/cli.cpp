@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace sfi {
@@ -118,6 +119,11 @@ bool Cli::get_bool(const std::string& name, bool def) const {
     if (it == options_.end()) return def;
     const std::string& v = it->second;
     return !(v == "0" || v == "false" || v == "no" || v == "off");
+}
+
+void exit_bad_flag(const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    std::exit(2);
 }
 
 }  // namespace sfi

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,5 +64,21 @@ private:
     std::vector<std::string> positional_;
     std::vector<std::string> unknown_;
 };
+
+/// Prints "error: <what>" to stderr and exits with status 2, the exit
+/// code every bench and example uses for a bad flag value.
+[[noreturn]] void exit_bad_flag(const std::invalid_argument& error);
+
+/// Runs one strict Cli parser (get_uint, get_positive_double,
+/// get_threads); the std::invalid_argument it throws on a bad value is
+/// printed and exits 2 instead of aborting as an uncaught exception.
+template <typename Parse>
+auto or_exit(Parse parse) {
+    try {
+        return parse();
+    } catch (const std::invalid_argument& e) {
+        exit_bad_flag(e);
+    }
+}
 
 }  // namespace sfi

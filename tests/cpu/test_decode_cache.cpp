@@ -15,14 +15,42 @@
 //     stream trusted before a reset.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "cpu/cpu.hpp"
+#include "cpu/interp.hpp"
 #include "isa/encoding.hpp"
 #include "isa/isa.hpp"
 
 namespace sfi {
 namespace {
+
+TEST(MicroOpKinds, EveryKindValueIsPinned) {
+    // Kind 0 must stay Illegal (fresh slots are zero-initialized); the
+    // dispatch table is generated from the same SFI_FORALL_UOP_KINDS list.
+    struct Pin {
+        UopKind kind;
+        int value;
+    };
+    const Pin pins[] = {
+        {UopKind::Illegal, 0}, {UopKind::Nop, 1}, {UopKind::NopExit, 2},
+        {UopKind::NopKernelBegin, 3}, {UopKind::NopKernelEnd, 4},
+        {UopKind::Movhi, 5}, {UopKind::J, 6}, {UopKind::JSelfLoop, 7},
+        {UopKind::Jal, 8}, {UopKind::Jr, 9}, {UopKind::Jalr, 10},
+        {UopKind::Bf, 11}, {UopKind::BfSelfLoop, 12}, {UopKind::Bnf, 13},
+        {UopKind::BnfSelfLoop, 14}, {UopKind::Lwz, 15}, {UopKind::Lbz, 16},
+        {UopKind::Lhz, 17}, {UopKind::Sw, 18}, {UopKind::Sb, 19},
+        {UopKind::Sh, 20}, {UopKind::AddReg, 21}, {UopKind::SubReg, 22},
+        {UopKind::AndReg, 23}, {UopKind::OrReg, 24}, {UopKind::XorReg, 25},
+        {UopKind::SllReg, 26}, {UopKind::SrlReg, 27}, {UopKind::SraReg, 28},
+        {UopKind::MulReg, 29}, {UopKind::AddImm, 30}, {UopKind::SubImm, 31},
+        {UopKind::AndImm, 32}, {UopKind::OrImm, 33}, {UopKind::XorImm, 34},
+        {UopKind::SllImm, 35}, {UopKind::SrlImm, 36}, {UopKind::SraImm, 37},
+        {UopKind::MulImm, 38}, {UopKind::CmpReg, 39}, {UopKind::CmpImm, 40}};
+    ASSERT_EQ(std::size(pins), kUopKindCount);
+    for (const Pin& pin : pins) EXPECT_EQ(static_cast<int>(pin.kind), pin.value);
+}
 
 /// One of the two execution paths, chosen by calling it.
 struct Engine {

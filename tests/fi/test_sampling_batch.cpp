@@ -421,7 +421,8 @@ TEST(FaultSamplingMode, NamesAndParsingRoundTrip) {
                  "batched");
     EXPECT_STREQ(fault_sampling_mode_name(FaultSamplingMode::Quantized),
                  "quantized");
-    EXPECT_EQ(parse_fault_sampling_mode("scalar"), FaultSamplingMode::Scalar);
+    // Scalar is the in-code oracle, not a flag value.
+    EXPECT_EQ(parse_fault_sampling_mode("scalar"), std::nullopt);
     EXPECT_EQ(parse_fault_sampling_mode("batched"),
               FaultSamplingMode::Batched);
     EXPECT_EQ(parse_fault_sampling_mode("quantized"),

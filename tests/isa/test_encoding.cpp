@@ -59,17 +59,22 @@ std::vector<Instr> representative_instrs() {
                 instr.rd = reg();
             if (info.reads_ra) instr.ra = reg();
             if (info.reads_rb) instr.rb = reg();
-            if (op == Op::MOVHI || op == Op::NOP || op == Op::ANDI ||
-                op == Op::ORI) {
-                instr.imm = static_cast<std::int32_t>(rng.bounded(0x10000));
-            } else if (op == Op::SLLI || op == Op::SRLI || op == Op::SRAI) {
-                instr.imm = static_cast<std::int32_t>(rng.bounded(32));
-            } else if (op == Op::J || op == Op::JAL || op == Op::BF ||
-                       op == Op::BNF) {
-                instr.imm = static_cast<std::int32_t>(rng.bounded(1u << 26)) -
-                            (1 << 25);
-            } else if (info.has_imm) {
-                instr.imm = static_cast<std::int32_t>(rng.bounded(0x10000)) - 0x8000;
+            switch (info.imm) {
+                case ImmKind::None: break;
+                case ImmKind::Unsigned16:
+                    instr.imm = static_cast<std::int32_t>(rng.bounded(0x10000));
+                    break;
+                case ImmKind::Shamt:
+                    instr.imm = static_cast<std::int32_t>(rng.bounded(32));
+                    break;
+                case ImmKind::Offset26:
+                    instr.imm = static_cast<std::int32_t>(rng.bounded(1u << 26)) -
+                                (1 << 25);
+                    break;
+                case ImmKind::Signed16:
+                    instr.imm =
+                        static_cast<std::int32_t>(rng.bounded(0x10000)) - 0x8000;
+                    break;
             }
             out.push_back(instr);
         }
@@ -85,6 +90,41 @@ TEST(EncodeDecode, RoundTripsEveryOpcode) {
         EXPECT_EQ(*back, instr) << disassemble(instr) << " vs "
                                 << disassemble(*back);
     }
+}
+
+TEST(Decode, DigestOverAStructuredWordSampleIsPinned) {
+    // Every field a decode rule reads, swept: all 64 primary opcodes,
+    // bits [25:21] (so [25:24] too), bit 16 and bits [9:0] (op2, op3,
+    // low and shift amounts above 31), with the remaining register and
+    // immediate bits filled from the loop counters. The digest was
+    // computed with the per-opcode decoder the opcode table replaced; the
+    // two also agree on all 2^32 words.
+    std::uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
+    auto mix = [&h](std::uint32_t v, int bytes) {
+        for (int k = 0; k < bytes; ++k) {
+            h ^= (v >> (8 * k)) & 0xffu;
+            h *= 1099511628211ULL;
+        }
+    };
+    for (std::uint32_t opc = 0; opc < 64; ++opc)
+        for (std::uint32_t d = 0; d < 32; ++d)
+            for (std::uint32_t bit16 = 0; bit16 < 2; ++bit16)
+                for (std::uint32_t low10 = 0; low10 < 1024; ++low10) {
+                    const std::uint32_t filler =
+                        (((d * 7 + low10 * 13) & 0xfu) << 17) |
+                        (((low10 * 37 + d) & 0x3fu) << 10);
+                    const std::uint32_t word = (opc << 26) | (d << 21) |
+                                               (bit16 << 16) | filler | low10;
+                    const auto instr = decode(word);
+                    mix(instr.has_value(), 1);
+                    if (!instr) continue;
+                    mix(static_cast<std::uint32_t>(instr->op), 1);
+                    mix(instr->rd, 1);
+                    mix(instr->ra, 1);
+                    mix(instr->rb, 1);
+                    mix(static_cast<std::uint32_t>(instr->imm), 4);
+                }
+    EXPECT_EQ(h, 0xcc201726b4ddd665ULL);
 }
 
 TEST(Encode, ImmediateRangeChecks) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -11,6 +12,66 @@
 
 namespace sfi {
 namespace {
+
+TEST(OpTable, EveryOpcodeValueIsPinned) {
+    // records.bin stores the raw Op byte, so reordering SFI_FORALL_OPS
+    // must fail here; a new row is appended and adds its pin.
+    struct Pin {
+        Op op;
+        int value;
+        const char* mnemonic;
+    };
+    const Pin pins[] = {
+        {Op::J, 0, "l.j"}, {Op::JAL, 1, "l.jal"}, {Op::JR, 2, "l.jr"},
+        {Op::JALR, 3, "l.jalr"}, {Op::BF, 4, "l.bf"}, {Op::BNF, 5, "l.bnf"},
+        {Op::NOP, 6, "l.nop"}, {Op::MOVHI, 7, "l.movhi"}, {Op::LWZ, 8, "l.lwz"},
+        {Op::LBZ, 9, "l.lbz"}, {Op::LHZ, 10, "l.lhz"}, {Op::SW, 11, "l.sw"},
+        {Op::SB, 12, "l.sb"}, {Op::SH, 13, "l.sh"}, {Op::ADD, 14, "l.add"},
+        {Op::SUB, 15, "l.sub"}, {Op::AND, 16, "l.and"}, {Op::OR, 17, "l.or"},
+        {Op::XOR, 18, "l.xor"}, {Op::MUL, 19, "l.mul"}, {Op::SLL, 20, "l.sll"},
+        {Op::SRL, 21, "l.srl"}, {Op::SRA, 22, "l.sra"},
+        {Op::ADDI, 23, "l.addi"}, {Op::ANDI, 24, "l.andi"},
+        {Op::ORI, 25, "l.ori"}, {Op::XORI, 26, "l.xori"},
+        {Op::MULI, 27, "l.muli"}, {Op::SLLI, 28, "l.slli"},
+        {Op::SRLI, 29, "l.srli"}, {Op::SRAI, 30, "l.srai"},
+        {Op::SFEQ, 31, "l.sfeq"}, {Op::SFNE, 32, "l.sfne"},
+        {Op::SFGTU, 33, "l.sfgtu"}, {Op::SFGEU, 34, "l.sfgeu"},
+        {Op::SFLTU, 35, "l.sfltu"}, {Op::SFLEU, 36, "l.sfleu"},
+        {Op::SFGTS, 37, "l.sfgts"}, {Op::SFGES, 38, "l.sfges"},
+        {Op::SFLTS, 39, "l.sflts"}, {Op::SFLES, 40, "l.sfles"},
+        {Op::SFEQI, 41, "l.sfeqi"}, {Op::SFNEI, 42, "l.sfnei"},
+        {Op::SFGTUI, 43, "l.sfgtui"}, {Op::SFGEUI, 44, "l.sfgeui"},
+        {Op::SFLTUI, 45, "l.sfltui"}, {Op::SFLEUI, 46, "l.sfleui"},
+        {Op::SFGTSI, 47, "l.sfgtsi"}, {Op::SFGESI, 48, "l.sfgesi"},
+        {Op::SFLTSI, 49, "l.sfltsi"}, {Op::SFLESI, 50, "l.sflesi"}};
+    ASSERT_EQ(std::size(pins), kOpCount);
+    for (const Pin& pin : pins) {
+        EXPECT_EQ(static_cast<int>(pin.op), pin.value) << pin.mnemonic;
+        EXPECT_STREQ(op_info(pin.op).mnemonic, pin.mnemonic);
+    }
+}
+
+TEST(OpTable, FlagsAgreeWithTheFormat) {
+    for (std::size_t i = 0; i < kOpCount; ++i) {
+        const OpInfo& info = op_info(static_cast<Op>(i));
+        const Format f = info.format;
+        const bool set_flag = f == Format::SetFlagReg || f == Format::SetFlagImm;
+        EXPECT_EQ(info.is_load, f == Format::Load) << info.mnemonic;
+        EXPECT_EQ(info.is_store, f == Format::Store) << info.mnemonic;
+        EXPECT_EQ(info.sets_flag, set_flag) << info.mnemonic;
+        EXPECT_EQ(info.is_branch, f == Format::N26 || f == Format::JumpReg)
+            << info.mnemonic;
+        EXPECT_EQ(info.has_imm, info.imm != ImmKind::None) << info.mnemonic;
+        EXPECT_EQ(info.reads_rb, f == Format::JumpReg || f == Format::Store ||
+                                     f == Format::AluReg || f == Format::SetFlagReg)
+            << info.mnemonic;
+        EXPECT_EQ(info.reads_ra, f == Format::Load || f == Format::Store ||
+                                     f == Format::AluReg || f == Format::AluImm ||
+                                     f == Format::ShiftImm || set_flag)
+            << info.mnemonic;
+        EXPECT_EQ(info.ex_class == ExClass::Cmp, set_flag) << info.mnemonic;
+    }
+}
 
 TEST(OpInfo, MnemonicsAreUniqueAndPrefixed) {
     std::set<std::string> seen;

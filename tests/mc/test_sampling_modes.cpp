@@ -9,12 +9,17 @@
 #include "mc/montecarlo.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 
+#include "campaign/figures.hpp"
 #include "campaign/point_store.hpp"
 #include "fi/mitigation.hpp"
 #include "testing/shared_core.hpp"
@@ -131,6 +136,56 @@ TEST(SamplingModeEquivalence, QuantizedIsDeterministicButItsOwnStream) {
     EXPECT_EQ(run_bytes(*bench, make_model, point,
                         FaultSamplingMode::Quantized, max_threads()),
               serial);
+}
+
+/// CSVs one figure campaign writes under `mode` at `threads`, by file
+/// name. Tiny trial count, no point store.
+std::map<std::string, std::string> figure_csvs(const std::string& figure,
+                                               FaultSamplingMode mode,
+                                               std::size_t threads,
+                                               const std::filesystem::path& dir) {
+    CoreModelConfig core;
+    core.dta.cycles = testing::kTestDtaCycles;
+    core.cdf_cache_path = "/tmp/sfi_test_cdf_cache.bin";
+    core.fault_sampling = mode;
+    campaign::RunOptions options;
+    options.csv_dir = dir.string();
+    options.threads = threads;
+    campaign::CampaignRunner runner(
+        campaign::figures::make_figure(figure, core, /*trials=*/4), options);
+    EXPECT_TRUE(runner.run().completed) << figure;
+    std::map<std::string, std::string> csvs;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".csv") continue;
+        std::ifstream is(entry.path(), std::ios::binary);
+        csvs[entry.path().filename().string()] = {
+            std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+    }
+    return csvs;
+}
+
+TEST(SamplingModeEquivalence, FigureCampaignCsvsAreByteIdentical) {
+    // The contract on the real figure campaigns: fig1 (model B/B+ windows),
+    // fig4 (op streams through model C) and fig5 (model C over frequency),
+    // serial and threaded.
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(::testing::TempDir()) /
+                          ("sfi_sampling_csvs_" + std::to_string(::getpid()));
+    fs::remove_all(root);
+    for (const char* figure : {"fig1", "fig4", "fig5"}) {
+        for (const std::size_t threads : {std::size_t{1}, max_threads()}) {
+            const std::string tag =
+                std::string(figure) + "_t" + std::to_string(threads);
+            const auto scalar = figure_csvs(figure, FaultSamplingMode::Scalar,
+                                            threads, root / (tag + "_scalar"));
+            ASSERT_FALSE(scalar.empty()) << tag;
+            EXPECT_EQ(figure_csvs(figure, FaultSamplingMode::Batched, threads,
+                                  root / (tag + "_batched")),
+                      scalar)
+                << tag << ": batched CSVs differ from scalar";
+        }
+    }
+    fs::remove_all(root);
 }
 
 }  // namespace

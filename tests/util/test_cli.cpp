@@ -88,6 +88,14 @@ TEST(Cli, GetThreadsRejectsNonIntegers) {
     EXPECT_EQ(make({"prog", "--threads=0x2"}).get_threads(), 2u);
 }
 
+TEST(Cli, OrExitReportsABadThreadsValueAndExitsTwo) {
+    const Cli cli = make({"prog", "--threads", "abc"});
+    EXPECT_EXIT(or_exit([&] { return cli.get_threads(); }),
+                ::testing::ExitedWithCode(2), "--threads must be an integer");
+    EXPECT_EQ(or_exit([] { return make({"prog", "--threads=3"}).get_threads(); }),
+              3u);
+}
+
 TEST(Cli, GetUintParsesValuesAndDefaults) {
     EXPECT_EQ(make({"prog", "--trials", "250"}).get_uint("trials", 1), 250u);
     EXPECT_EQ(make({"prog", "--seed=0x10"}).get_uint("seed", 1), 16u);
