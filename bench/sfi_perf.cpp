@@ -203,14 +203,12 @@ int main(int argc, char** argv) {
             ? report.fault_sampling.batched_ops_per_sec /
                   report.fault_sampling.scalar_ops_per_sec
             : 0.0;
-    report.fault_sampling.avx2 = noise_conversion_uses_avx2();
     std::printf("  B+ corrupt(): scalar %.2e, batched %.2e (%.2fx), "
-                "quantized %.2e ops/s%s\n",
+                "quantized %.2e ops/s\n",
                 report.fault_sampling.scalar_ops_per_sec,
                 report.fault_sampling.batched_ops_per_sec,
                 report.fault_sampling.batched_speedup,
-                report.fault_sampling.quantized_ops_per_sec,
-                report.fault_sampling.avx2 ? " [avx2]" : "");
+                report.fault_sampling.quantized_ops_per_sec);
     bench_fault_sampling(*model_c, fault_c, sampling_ops, report.phases,
                          perf::Phase::FaultSamplingBatch);
 

@@ -1,66 +1,63 @@
 #include "campaign/point_store.hpp"
 
+#include <array>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
 
+#include "util/bytes.hpp"
 #include "util/fingerprint.hpp"
 
 namespace sfi::campaign {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'F', 'I', 'P', 'T', 'S', '\x01', '\n'};
+using Magic = std::array<char, 8>;
+constexpr Magic kMagic = {'S', 'F', 'I', 'P', 'T', 'S', '\x01', '\n'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint64_t kHeaderBytes = sizeof kMagic + sizeof kVersion;
 // A PointSummary payload is ~150 bytes; anything larger than this is a
 // corrupt size field, not a record.
 constexpr std::uint32_t kMaxPayload = 1u << 20;
 
-template <typename T>
-void put(std::ostream& os, const T& value) {
-    os.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-bool get(std::istream& is, T& value) {
-    is.read(reinterpret_cast<char*>(&value), sizeof value);
-    return static_cast<bool>(is);
+void put_point_summary(ByteWriter& out, const PointSummary& summary) {
+    out.put(summary.point.freq_mhz)
+        .put(summary.point.vdd)
+        .put(summary.point.noise.sigma_mv)
+        .put(summary.point.noise.clip_sigmas)
+        .put(static_cast<std::uint64_t>(summary.trials))
+        .put(static_cast<std::uint64_t>(summary.finished_count))
+        .put(static_cast<std::uint64_t>(summary.correct_count))
+        .put(summary.fi_rate)
+        .put(summary.mean_error);
+    summary.error_stats.save(out);
+    summary.fi_rate_stats.save(out);
 }
 
 }  // namespace
 
 void save_point_summary(std::ostream& os, const PointSummary& summary) {
-    put(os, summary.point.freq_mhz);
-    put(os, summary.point.vdd);
-    put(os, summary.point.noise.sigma_mv);
-    put(os, summary.point.noise.clip_sigmas);
-    put(os, static_cast<std::uint64_t>(summary.trials));
-    put(os, static_cast<std::uint64_t>(summary.finished_count));
-    put(os, static_cast<std::uint64_t>(summary.correct_count));
-    put(os, summary.fi_rate);
-    put(os, summary.mean_error);
-    summary.error_stats.save(os);
-    summary.fi_rate_stats.save(os);
+    ByteWriter out;
+    put_point_summary(out, summary);
+    out.write_to(os);
 }
 
 PointSummary load_point_summary(std::istream& is) {
+    ByteReader in(is, "point summary");
     PointSummary summary;
-    std::uint64_t trials = 0, finished = 0, correct = 0;
-    if (!get(is, summary.point.freq_mhz) || !get(is, summary.point.vdd) ||
-        !get(is, summary.point.noise.sigma_mv) ||
-        !get(is, summary.point.noise.clip_sigmas) || !get(is, trials) ||
-        !get(is, finished) || !get(is, correct) || !get(is, summary.fi_rate) ||
-        !get(is, summary.mean_error))
-        throw std::runtime_error("load_point_summary: truncated stream");
-    summary.trials = static_cast<std::size_t>(trials);
-    summary.finished_count = static_cast<std::size_t>(finished);
-    summary.correct_count = static_cast<std::size_t>(correct);
-    summary.error_stats = RunningStats::load(is);
-    summary.fi_rate_stats = RunningStats::load(is);
+    summary.point.freq_mhz = in.get<double>();
+    summary.point.vdd = in.get<double>();
+    summary.point.noise.sigma_mv = in.get<double>();
+    summary.point.noise.clip_sigmas = in.get<double>();
+    summary.trials = static_cast<std::size_t>(in.get<std::uint64_t>());
+    summary.finished_count = static_cast<std::size_t>(in.get<std::uint64_t>());
+    summary.correct_count = static_cast<std::size_t>(in.get<std::uint64_t>());
+    summary.fi_rate = in.get<double>();
+    summary.mean_error = in.get<double>();
+    summary.error_stats = RunningStats::load(in);
+    summary.fi_rate_stats = RunningStats::load(in);
+    if (!in.at_end()) in.fail("trailing bytes");
     return summary;
 }
 
@@ -84,69 +81,45 @@ PointStore::PointStore(std::string path, obs::Ledger* ledger)
 void PointStore::load_file() {
     valid_bytes_ = kHeaderBytes;
     std::ifstream is(path_, std::ios::binary);
-    if (!is) return;  // no file yet: created with a header on first insert
-
     std::error_code ec;
     const std::uint64_t file_size = std::filesystem::file_size(path_, ec);
+    // No file yet, or an empty one: created with a header on first insert.
+    if (!is || (!ec && file_size == 0)) return;
 
-    char magic[sizeof kMagic] = {};
-    std::uint32_t version = 0;
-    is.read(magic, sizeof magic);
-    if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0 ||
-        !get(is, version) || version != kVersion) {
-        // Foreign or old-format file: read as empty; the first insert
-        // rewrites it from scratch.
+    ByteReader in(is, "point store");
+    std::string payload;
+    auto damage = StoreDiagnostic::Kind::CorruptTail;
+    bool damaged = false;
+    try {
+        header_ok_ =
+            in.get<Magic>() == kMagic && in.get<std::uint32_t>() == kVersion;
+        // A clean end of file comes between records; a record cut
+        // anywhere inside is a torn write.
+        while (header_ok_ && !in.at_end()) {
+            const auto key = in.get<std::uint64_t>();
+            const auto size = in.get<std::uint32_t>();
+            if (size > kMaxPayload) in.fail("corrupt size field");
+            in.get_array(payload, size);
+            if (Fingerprint().bytes(payload.data(), size).value() !=
+                in.get<std::uint64_t>()) {
+                damage = StoreDiagnostic::Kind::BitRot;
+                in.fail("payload hash mismatch");
+            }
+            std::istringstream ps(payload);
+            entries_[key] = load_point_summary(ps);
+            valid_bytes_ += sizeof key + sizeof size + size + sizeof(std::uint64_t);
+        }
+    } catch (const std::exception&) {
+        damaged = true;  // this record and the rest are dropped
+    }
+    if (!header_ok_) {
+        // Foreign, old-format or shorter than a header: read as empty;
+        // the first insert rewrites it from scratch.
         recovered_bytes_ = ec ? 0 : file_size;
         diagnostics_.push_back({StoreDiagnostic::Kind::ForeignFile,
                                 recovered_bytes_, 0});
         return;
     }
-    header_ok_ = true;
-
-    std::uint64_t good_end = kHeaderBytes;
-    std::vector<char> payload;
-    auto damage = StoreDiagnostic::Kind::CorruptTail;
-    bool damaged = false;
-    for (;;) {
-        std::uint64_t key = 0;
-        std::uint32_t size = 0;
-        if (!get(is, key)) {
-            // A clean end of file fails the key read with nothing
-            // consumed; any partial read is a torn record.
-            damaged = is.gcount() > 0;
-            break;
-        }
-        if (!get(is, size)) {
-            damaged = true;
-            break;
-        }
-        if (size > kMaxPayload) {
-            damaged = true;  // corrupt size field, not a record
-            break;
-        }
-        payload.resize(size);
-        is.read(payload.data(), size);
-        std::uint64_t stored_hash = 0;
-        if (!is || !get(is, stored_hash)) {
-            damaged = true;
-            break;
-        }
-        if (Fingerprint().bytes(payload.data(), size).value() != stored_hash) {
-            // Bit rot / torn write: drop this record and the rest.
-            damaged = true;
-            damage = StoreDiagnostic::Kind::BitRot;
-            break;
-        }
-        std::istringstream ps(std::string(payload.data(), size));
-        try {
-            entries_[key] = load_point_summary(ps);
-        } catch (const std::exception&) {
-            damaged = true;
-            break;
-        }
-        good_end += sizeof key + sizeof size + size + sizeof stored_hash;
-    }
-    valid_bytes_ = good_end;
     if (!ec && file_size > valid_bytes_)
         recovered_bytes_ = file_size - valid_bytes_;
     if (damaged)
@@ -180,10 +153,7 @@ void PointStore::append_record(std::uint64_t key, const PointSummary& summary) {
         if (!header_ok_) {
             // Missing or unrecognizable file: start fresh.
             out_.open(path_, std::ios::binary | std::ios::trunc);
-            if (out_) {
-                out_.write(kMagic, sizeof kMagic);
-                put(out_, kVersion);
-            }
+            ByteWriter().put(kMagic).put(kVersion).write_to(out_);
         } else {
             // Cut corrupt trailing data back to the last good record,
             // then append behind it. ios::app (O_APPEND) writes at the
@@ -201,18 +171,19 @@ void PointStore::append_record(std::uint64_t key, const PointSummary& summary) {
                                      " for writing");
         header_ok_ = true;
     }
-    std::ostringstream ps(std::ios::binary);
-    save_point_summary(ps, summary);
-    const std::string payload = ps.str();
-    put(out_, key);
-    put(out_, static_cast<std::uint32_t>(payload.size()));
-    out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    put(out_, Fingerprint().bytes(payload.data(), payload.size()).value());
+    ByteWriter payload;
+    put_point_summary(payload, summary);
+    const std::string& bytes = payload.bytes();
+    ByteWriter record;
+    record.put(key)
+        .put(static_cast<std::uint32_t>(bytes.size()))
+        .put_bytes(bytes.data(), bytes.size())
+        .put(Fingerprint().bytes(bytes.data(), bytes.size()).value());
+    record.write_to(out_);
     out_.flush();  // the resume guarantee: completed points hit the disk
     if (!out_)
         throw std::runtime_error("PointStore: write to " + path_ + " failed");
-    valid_bytes_ += sizeof key + sizeof(std::uint32_t) + payload.size() +
-                    sizeof(std::uint64_t);
+    valid_bytes_ += record.bytes().size();
 }
 
 std::optional<PointSummary> PointStore::lookup(std::uint64_t key) const {

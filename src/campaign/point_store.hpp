@@ -8,18 +8,22 @@
 // bit-identical to what a recomputation would produce, which is what
 // makes a warm re-run's CSV output byte-identical to a cold run's.
 //
-// On-disk format (same trick as the CDF cache, src/fi/core_model.cpp):
+// On-disk format (util/bytes.hpp; docs/ARCHITECTURE.md, "Persisted
+// formats"), little-endian by construction:
 //
 //   header:  8-byte magic "SFIPTS\x01\n", u32 format version
 //   record:  u64 key, u32 payload size, payload bytes, u64 payload FNV-1a
 //
-// The payload is the raw little-endian serialization of one PointSummary
-// (save_point_summary below). Loading stops at the first truncated or
-// hash-mismatched record and discards everything from there on; the next
-// insert truncates the file back to the last good record before
-// appending, so one torn write (the expected result of a kill) never
-// poisons the store. A wrong magic/version reads as an empty store and
-// the file is rewritten on first insert.
+// The payload is one PointSummary (save_point_summary below). Loading
+// stops at the first truncated or hash-mismatched record, or the first
+// payload that is not exactly one summary, and discards everything from
+// there on; the next insert truncates the file back to the last good
+// record before appending, so one torn write (the expected result of a
+// kill) never poisons the store. A wrong magic/version reads as an empty
+// store and the file is rewritten on first insert; so is an empty file.
+// The hash covers the payload only: a record whose key field was
+// damaged loads under a key no campaign asks for, and its point is
+// computed again.
 //
 // Concurrency: one store file, one writing process at a time. Records
 // are appended in O_APPEND mode and each is flushed in a single write,
@@ -63,9 +67,11 @@ struct StoreDiagnostic {
 /// Stable short name ("foreign-file", "corrupt-tail", "bit-rot").
 const char* store_diagnostic_name(StoreDiagnostic::Kind kind);
 
-/// Raw binary serialization of one PointSummary. Doubles are written as
-/// their object representation, so load(save(x)) == x bit for bit
-/// (including the RunningStats accumulators).
+/// Binary serialization of one PointSummary (152 bytes). Doubles are
+/// written as their object representation, so load(save(x)) == x bit for
+/// bit (including the RunningStats accumulators). load_point_summary
+/// reads the rest of `is` as one summary: it throws std::runtime_error
+/// when the stream ends early or holds bytes after the summary.
 void save_point_summary(std::ostream& os, const PointSummary& summary);
 PointSummary load_point_summary(std::istream& is);
 

@@ -13,6 +13,7 @@
 #include "isa/isa.hpp"
 #include "mc/report.hpp"
 #include "mc/sweep.hpp"
+#include "perf/json_writer.hpp"
 #include "sampling/search.hpp"
 #include "timing/dta.hpp"
 #include "util/csv.hpp"
@@ -21,17 +22,6 @@
 namespace sfi::campaign {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) continue;  // not expected
-        out += c;
-    }
-    return out;
-}
 
 std::string hex64(std::uint64_t value) {
     char buf[20];
@@ -632,7 +622,8 @@ void CampaignRunner::write_manifest(CampaignResult& result) {
     // lives on the single "run" line so consumers — and the resume tests
     // — can separate the two by line.
     os << "{\n";
-    os << "  \"campaign\": \"" << json_escape(spec_.name) << "\",\n";
+    os << "  \"campaign\": \"" << perf::JsonWriter::escape(spec_.name)
+       << "\",\n";
     os << "  \"spec_fingerprint\": \"0x" << hex64(result.spec_fingerprint)
        << "\",\n";
     os << "  \"trials\": " << spec_.trials << ",\n";
@@ -642,7 +633,7 @@ void CampaignRunner::write_manifest(CampaignResult& result) {
     for (const PanelResult& panel : result.panels) {
         if (!first) os << ",\n";
         first = false;
-        os << "    {\"name\": \"" << json_escape(panel.name)
+        os << "    {\"name\": \"" << perf::JsonWriter::escape(panel.name)
            << "\", \"kind\": \"" << (panel.poff ? "poff" : "mc")
            << "\", \"points\": " << panel.sweep.size()
            << ", \"trials_spent\": " << panel.trials_spent;
@@ -678,22 +669,23 @@ void CampaignRunner::write_manifest(CampaignResult& result) {
                 os << ", \"poff_mhz\": null";
         }
         os << ", \"csv\": \""
-           << json_escape(
+           << perf::JsonWriter::escape(
                   std::filesystem::path(panel.csv_path).filename().string())
            << "\"}";
     }
     for (const CdfPanelResult& panel : result.cdf_panels) {
         if (!first) os << ",\n";
         first = false;
-        os << "    {\"name\": \"" << json_escape(panel.name)
+        os << "    {\"name\": \"" << perf::JsonWriter::escape(panel.name)
            << "\", \"kind\": \"cdf\", \"points\": " << panel.rows.size()
            << ", \"csv\": \""
-           << json_escape(
+           << perf::JsonWriter::escape(
                   std::filesystem::path(panel.csv_path).filename().string())
            << "\"}";
     }
     os << "\n  ],\n";
-    os << "  \"run\": {\"store_path\": \"" << json_escape(options_.store_path)
+    os << "  \"run\": {\"store_path\": \""
+       << perf::JsonWriter::escape(options_.store_path)
        << "\", \"store_hits\": " << result.store_hits
        << ", \"store_misses\": " << result.store_misses
        << ", \"trials_spent\": " << result.trials_spent

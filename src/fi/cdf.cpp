@@ -6,18 +6,13 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/stream.hpp"
+#include "util/bytes.hpp"
 
 namespace sfi {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x53464943;  // "SFIC"
 constexpr std::uint32_t kVersion = 1;
-
-template <typename T>
-void put(std::ostream& os, const T& v) {
-    os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
 
 /// True when `arrivals` ascends and holds no NaN or infinity. A NaN fails
 /// its neighbour comparison and a sorted run can hold infinities only at
@@ -31,14 +26,6 @@ bool sorted_and_finite(const std::vector<float>& arrivals) {
         descent |= !(a[k - 1] <= a[k]);
     return descent == 0 && std::isfinite(arrivals.front()) &&
            std::isfinite(arrivals.back());
-}
-
-template <typename T>
-T get(std::istream& is) {
-    T v{};
-    is.read(reinterpret_cast<char*>(&v), sizeof v);
-    if (!is) throw std::runtime_error("TimingErrorCdfs: truncated stream");
-    return v;
 }
 }  // namespace
 
@@ -141,72 +128,60 @@ const std::vector<std::uint32_t>& TimingErrorCdfs::endpoints_by_criticality(
 }
 
 void TimingErrorCdfs::save(std::ostream& os) const {
-    put(os, kMagic);
-    put(os, kVersion);
-    put(os, setup_ps_);
-    put(os, static_cast<std::uint64_t>(endpoints_));
-    put(os, static_cast<std::uint64_t>(samples_));
-    for (std::size_t c = 0; c < classes_.size(); ++c) {
-        const PerClass& pc = classes_[c];
-        put(os, static_cast<std::uint8_t>(pc.present));
-        if (!pc.present) continue;
-        put(os, static_cast<std::uint64_t>(pc.sorted_arrivals.size()));
-        for (const auto& samples : pc.sorted_arrivals) {
-            put(os, static_cast<std::uint64_t>(samples.size()));
-            os.write(reinterpret_cast<const char*>(samples.data()),
-                     static_cast<std::streamsize>(samples.size() * sizeof(float)));
+    ByteWriter header;
+    header.put(kMagic).put(kVersion).put(setup_ps_);
+    header.put(static_cast<std::uint64_t>(endpoints_));
+    header.put(static_cast<std::uint64_t>(samples_));
+    header.write_to(os);
+    // One buffer per class: a whole cache is megabytes, and buffering it
+    // at once would raise a cold characterization's peak memory.
+    for (const PerClass& pc : classes_) {
+        ByteWriter out;
+        out.put(static_cast<std::uint8_t>(pc.present));
+        if (pc.present) {
+            out.put(static_cast<std::uint64_t>(pc.sorted_arrivals.size()));
+            for (const auto& samples : pc.sorted_arrivals)
+                out.put(static_cast<std::uint64_t>(samples.size()))
+                    .put_bytes(samples.data(), samples.size() * sizeof(float));
         }
+        out.write_to(os);
     }
 }
 
 TimingErrorCdfs TimingErrorCdfs::load(std::istream& is) {
-    if (get<std::uint32_t>(is) != kMagic)
-        throw std::runtime_error("TimingErrorCdfs: bad magic");
-    if (get<std::uint32_t>(is) != kVersion)
-        throw std::runtime_error("TimingErrorCdfs: unsupported version");
+    ByteReader in(is, "TimingErrorCdfs");
+    if (in.get<std::uint32_t>() != kMagic) in.fail("bad magic");
+    if (in.get<std::uint32_t>() != kVersion) in.fail("unsupported version");
     TimingErrorCdfs store;
-    store.setup_ps_ = get<double>(is);
-    if (!std::isfinite(store.setup_ps_))
-        throw std::runtime_error("TimingErrorCdfs: non-finite setup time");
-    const auto endpoints_max = get<std::uint64_t>(is);
-    const auto samples = get<std::uint64_t>(is);
+    store.setup_ps_ = in.get<double>();
+    if (!std::isfinite(store.setup_ps_)) in.fail("non-finite setup time");
     // Every endpoint needs its 8-byte count and `samples` floats, so no
-    // valid count exceeds what is left of the stream. Checked here, before
-    // anything is sized from them, a flipped count fails at once instead
-    // of zero-filling gigabytes first; the per-class and per-endpoint
-    // counts below must then match these two.
-    if (const std::streamoff end = stream_end(is); end >= 0) {
-        const auto left = static_cast<std::uint64_t>(end - is.tellg());
-        if (endpoints_max > left / sizeof(std::uint64_t) ||
-            samples > left / sizeof(float))
-            throw std::runtime_error("TimingErrorCdfs: counts exceed the stream");
-    }
+    // valid count exceeds what is left of the stream; a flipped count
+    // fails here instead of zero-filling gigabytes first. The per-class
+    // and per-endpoint counts below must then match these two.
+    const auto endpoints_max = in.get<std::uint64_t>();
+    const auto samples = in.get<std::uint64_t>();
+    in.bound(endpoints_max, sizeof(std::uint64_t));
+    in.bound(samples, sizeof(float));
     std::uint64_t endpoints_seen = 0;
-    for (std::size_t c = 0; c < store.classes_.size(); ++c) {
-        PerClass& pc = store.classes_[c];
-        const auto present = get<std::uint8_t>(is);
-        if (present > 1) throw std::runtime_error("TimingErrorCdfs: bad class flag");
+    for (PerClass& pc : store.classes_) {
+        const auto present = in.get<std::uint8_t>();
+        if (present > 1) in.fail("bad class flag");
         pc.present = present != 0;
         if (!pc.present) continue;
-        const auto endpoints = get<std::uint64_t>(is);
-        if (endpoints > endpoints_max)
-            throw std::runtime_error("TimingErrorCdfs: bad endpoint count");
+        const auto endpoints = in.get<std::uint64_t>();
+        if (endpoints > endpoints_max) in.fail("bad endpoint count");
         endpoints_seen = std::max(endpoints_seen, endpoints);
-        pc.sorted_arrivals.resize(endpoints);
-        for (auto& arrivals : pc.sorted_arrivals) {
-            const auto n = get<std::uint64_t>(is);
-            if (n != samples)
-                throw std::runtime_error("TimingErrorCdfs: bad sample count");
-            arrivals.resize(n);
-            is.read(reinterpret_cast<char*>(arrivals.data()),
-                    static_cast<std::streamsize>(n * sizeof(float)));
-            if (!is) throw std::runtime_error("TimingErrorCdfs: truncated samples");
+        pc.sorted_arrivals.reserve(in.bound(endpoints, sizeof(std::uint64_t)));
+        for (std::uint64_t e = 0; e < endpoints; ++e) {
+            if (in.get<std::uint64_t>() != samples) in.fail("bad sample count");
+            auto& arrivals = pc.sorted_arrivals.emplace_back();
+            in.get_array(arrivals, samples);
             if (!sorted_and_finite(arrivals))
-                throw std::runtime_error("TimingErrorCdfs: unsorted or non-finite arrivals");
+                in.fail("unsorted or non-finite arrivals");
         }
     }
-    if (endpoints_seen != endpoints_max)
-        throw std::runtime_error("TimingErrorCdfs: header endpoint count mismatch");
+    if (endpoints_seen != endpoints_max) in.fail("header endpoint count mismatch");
     store.endpoints_ = static_cast<std::size_t>(endpoints_max);
     store.samples_ = static_cast<std::size_t>(samples);
     store.rebuild_derived();

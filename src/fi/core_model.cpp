@@ -5,6 +5,7 @@
 #include <fstream>
 #include <random>
 
+#include "util/bytes.hpp"
 #include "util/fingerprint.hpp"
 
 namespace sfi {
@@ -62,7 +63,7 @@ void write_cache_atomically(const std::string& path, std::uint64_t fingerprint,
         path + ".tmp" +
         std::to_string((std::uint64_t{entropy()} << 32) | entropy());
     std::ofstream os(tmp, std::ios::binary);
-    os.write(reinterpret_cast<const char*>(&fingerprint), sizeof fingerprint);
+    ByteWriter().put(fingerprint).write_to(os);
     cdfs.save(os);
     os.close();
     std::error_code ec;
@@ -86,15 +87,13 @@ CharacterizedCore::CharacterizedCore(CoreModelConfig config,
     if (!config_.cdf_cache_path.empty() &&
         std::filesystem::exists(config_.cdf_cache_path)) {
         std::ifstream is(config_.cdf_cache_path, std::ios::binary);
-        std::uint64_t stored = 0;
-        is.read(reinterpret_cast<char*>(&stored), sizeof stored);
-        if (is && stored == fingerprint) {
-            try {
+        try {
+            if (ByteReader(is, "CDF cache").get<std::uint64_t>() == fingerprint) {
                 cdfs_ = std::make_shared<TimingErrorCdfs>(TimingErrorCdfs::load(is));
                 loaded = true;
-            } catch (const std::exception&) {
-                loaded = false;  // corrupt cache: recharacterize
             }
+        } catch (const std::exception&) {
+            loaded = false;  // corrupt cache: recharacterize
         }
     }
     if (!loaded) {

@@ -1,8 +1,8 @@
 #include "fi/forensics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
@@ -11,8 +11,8 @@
 #include <stdexcept>
 
 #include "perf/json_writer.hpp"
+#include "util/bytes.hpp"
 #include "util/csv.hpp"
-#include "util/stream.hpp"
 
 namespace sfi {
 
@@ -67,107 +67,56 @@ const char* outcome_class_name(OutcomeClass cls) {
 // Binary record stream
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void put_u16(std::string& out, std::uint16_t v) {
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-    put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-    put_u16(out, static_cast<std::uint16_t>(v >> 16));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-    put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-    put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint16_t get_u16(const unsigned char* p) {
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-    return static_cast<std::uint32_t>(get_u16(p)) |
-           (static_cast<std::uint32_t>(get_u16(p + 2)) << 16);
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-    return static_cast<std::uint64_t>(get_u32(p)) |
-           (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-}  // namespace
-
 void write_fault_records(std::ostream& os,
                          const std::vector<FaultRecord>& records) {
-    // Serialized explicitly field by field (little-endian, no struct
-    // padding) so the byte stream is host-layout-independent.
-    std::string buffer;
-    buffer.reserve(16 + records.size() * kFaultRecordBytes);
-    buffer.append(kForensicMagic, 8);
-    put_u32(buffer, static_cast<std::uint32_t>(kFaultRecordBytes));
-    put_u32(buffer, static_cast<std::uint32_t>(records.size()));
-    for (const FaultRecord& rec : records) {
-        put_u32(buffer, rec.trial);
-        put_u32(buffer, rec.point_id);
-        put_u64(buffer, rec.cycle);
-        put_u32(buffer, rec.pc);
-        put_u16(buffer, rec.window);
-        buffer.push_back(static_cast<char>(rec.op));
-        buffer.push_back(static_cast<char>(rec.cls));
-        buffer.push_back(static_cast<char>(rec.endpoint));
-        buffer.push_back(static_cast<char>(rec.policy));
-        buffer.push_back(static_cast<char>(rec.pre_bit));
-        buffer.push_back(static_cast<char>(rec.post_bit));
-        buffer.push_back(static_cast<char>(rec.razor));
-        buffer.push_back(0);  // reserved (keeps the record size even)
-    }
-    os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+    // Field by field, so no struct padding reaches the stream.
+    ByteWriter out;
+    out.reserve(16 + records.size() * kFaultRecordBytes);
+    out.put_bytes(kForensicMagic, 8)
+        .put(static_cast<std::uint32_t>(kFaultRecordBytes))
+        .put(static_cast<std::uint32_t>(records.size()));
+    for (const FaultRecord& rec : records)
+        out.put(rec.trial)
+            .put(rec.point_id)
+            .put(rec.cycle)
+            .put(rec.pc)
+            .put(rec.window)
+            .put(rec.op)
+            .put(rec.cls)
+            .put(rec.endpoint)
+            .put(rec.policy)
+            .put(rec.pre_bit)
+            .put(rec.post_bit)
+            .put(rec.razor)
+            .put(std::uint8_t{0});  // reserved (keeps the record size even)
+    out.write_to(os);
 }
 
 std::vector<FaultRecord> read_fault_records(std::istream& is) {
-    char header[16];
-    if (!is.read(header, sizeof(header)))
-        throw std::runtime_error("fault records: truncated header");
-    if (std::memcmp(header, kForensicMagic, 8) != 0)
-        throw std::runtime_error("fault records: bad magic");
-    const auto* h = reinterpret_cast<const unsigned char*>(header);
-    const std::uint32_t record_size = get_u32(h + 8);
-    const std::uint32_t count = get_u32(h + 12);
-    if (record_size != kFaultRecordBytes)
-        throw std::runtime_error("fault records: unexpected record size");
-    // Never size anything from an unchecked header: a seekable stream
-    // must hold every promised record, and a non-seekable one reserves at
-    // most a bounded prefix (the loop still throws on truncation).
-    std::uint32_t reserve = std::min<std::uint32_t>(count, 1u << 16);
-    if (const std::streamoff end = stream_end(is); end >= 0) {
-        const auto left = static_cast<std::uint64_t>(end - is.tellg());
-        if (count > left / kFaultRecordBytes)
-            throw std::runtime_error("fault records: count exceeds the stream");
-        reserve = count;
-    }
+    ByteReader in(is, "fault records");
+    const auto magic = in.get<std::array<char, 8>>();
+    if (!std::equal(magic.begin(), magic.end(), kForensicMagic))
+        in.fail("bad magic");
+    if (in.get<std::uint32_t>() != kFaultRecordBytes)
+        in.fail("unexpected record size");
+    const auto count = in.get<std::uint32_t>();
     std::vector<FaultRecord> records;
-    records.reserve(reserve);
-    unsigned char raw[kFaultRecordBytes];
+    records.reserve(in.bound(count, kFaultRecordBytes));
     for (std::uint32_t i = 0; i < count; ++i) {
-        if (!is.read(reinterpret_cast<char*>(raw), sizeof(raw)))
-            throw std::runtime_error("fault records: truncated payload");
-        FaultRecord rec;
-        rec.trial = get_u32(raw);
-        rec.point_id = get_u32(raw + 4);
-        rec.cycle = get_u64(raw + 8);
-        rec.pc = get_u32(raw + 16);
-        rec.window = get_u16(raw + 20);
-        rec.op = raw[22];
-        rec.cls = raw[23];
-        rec.endpoint = raw[24];
-        rec.policy = raw[25];
-        rec.pre_bit = raw[26];
-        rec.post_bit = raw[27];
-        rec.razor = raw[28];
-        records.push_back(rec);
+        FaultRecord& rec = records.emplace_back();
+        rec.trial = in.get<std::uint32_t>();
+        rec.point_id = in.get<std::uint32_t>();
+        rec.cycle = in.get<std::uint64_t>();
+        rec.pc = in.get<std::uint32_t>();
+        rec.window = in.get<std::uint16_t>();
+        rec.op = in.get<std::uint8_t>();
+        rec.cls = in.get<std::uint8_t>();
+        rec.endpoint = in.get<std::uint8_t>();
+        rec.policy = in.get<std::uint8_t>();
+        rec.pre_bit = in.get<std::uint8_t>();
+        rec.post_bit = in.get<std::uint8_t>();
+        rec.razor = in.get<std::uint8_t>();
+        in.get<std::uint8_t>();  // reserved
     }
     return records;
 }

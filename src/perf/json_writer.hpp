@@ -5,8 +5,10 @@
 // artifacts across commits and lets scripts/check_perf_regression.py
 // parse them without a schema migration story.
 //
-// The campaign manifest writer (src/campaign/runner.cpp) predates this
-// class and hand-rolls its JSON; new JSON producers should use JsonWriter.
+// The campaign manifest writer (src/campaign/runner.cpp) lays out its
+// lines by hand, so its stable and volatile parts stay separable by line,
+// but escapes every string through JsonWriter::escape; new JSON producers
+// should use JsonWriter.
 #pragma once
 
 #include <cstdint>

@@ -81,7 +81,7 @@ void write_bench_core_json(std::ostream& os, const PerfReport& report) {
     json.field("quantized_ops_per_sec",
                report.fault_sampling.quantized_ops_per_sec);
     json.field("batched_speedup", report.fault_sampling.batched_speedup);
-    json.field("avx2", report.fault_sampling.avx2);
+    json.field("avx2", false);
     json.end_object();
 
     json.key("metrics");

@@ -25,8 +25,10 @@
 //                         quantized_ops_per_sec, batched_speedup, avx2 },
 //                 (v3: within-run comparison of the draw->index sampling
 //                  kernels; batched_speedup is machine-independent like
-//                  fast_path.speedup and is held to a baseline floor)
-//     "campaign":  { figure, seconds, trials_spent } | null,
+//                  fast_path.speedup and is held to a baseline floor;
+//                  "avx2" is always false since the AVX2 conversion
+//                  kernel was removed, and the regression gate prints it)
+//     "campaign": { figure, seconds, trials_spent } | null,
 //     "metrics":  { counters: [ { name, value } ],
 //                   gauges:   [ { name, value } ] },
 //                 (v4: the obs::MetricsRegistry the report's campaign
@@ -92,7 +94,6 @@ struct FaultSamplingResult {
     double batched_ops_per_sec = 0.0;
     double quantized_ops_per_sec = 0.0;
     double batched_speedup = 0.0;  ///< batched / scalar
-    bool avx2 = false;  ///< AVX2 conversion kernel compiled in and active
 };
 
 /// Wall clock of a small end-to-end figure campaign (store disabled, so

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
+
+#include "util/bytes.hpp"
 
 namespace sfi {
 
@@ -41,21 +41,15 @@ void RunningStats::merge(const RunningStats& other) {
 
 void RunningStats::reset() { *this = RunningStats{}; }
 
-void RunningStats::save(std::ostream& os) const {
-    const std::uint64_t n = n_;
-    os.write(reinterpret_cast<const char*>(&n), sizeof n);
-    for (const double v : {mean_, m2_, min_, max_})
-        os.write(reinterpret_cast<const char*>(&v), sizeof v);
+void RunningStats::save(ByteWriter& out) const {
+    out.put(static_cast<std::uint64_t>(n_)).put(mean_).put(m2_).put(min_).put(max_);
 }
 
-RunningStats RunningStats::load(std::istream& is) {
+RunningStats RunningStats::load(ByteReader& in) {
     RunningStats stats;
-    std::uint64_t n = 0;
-    is.read(reinterpret_cast<char*>(&n), sizeof n);
-    stats.n_ = static_cast<std::size_t>(n);
+    stats.n_ = static_cast<std::size_t>(in.get<std::uint64_t>());
     for (double* v : {&stats.mean_, &stats.m2_, &stats.min_, &stats.max_})
-        is.read(reinterpret_cast<char*>(v), sizeof *v);
-    if (!is) throw std::runtime_error("RunningStats::load: truncated stream");
+        *v = in.get<double>();
     return stats;
 }
 

@@ -5,10 +5,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 namespace sfi {
+
+class ByteReader;
+class ByteWriter;
 
 /// Streaming mean / variance / min / max accumulator (Welford's algorithm).
 class RunningStats {
@@ -26,12 +28,12 @@ public:
     double max() const { return n_ ? max_ : 0.0; }
     double sum() const { return mean_ * static_cast<double>(n_); }
 
-    /// Binary persistence of the exact accumulator state (count + raw
-    /// mean/M2/min/max doubles). A loaded instance is bit-identical to
-    /// the saved one — the campaign point store relies on this so a warm
-    /// re-run reproduces cold-run output byte for byte.
-    void save(std::ostream& os) const;
-    static RunningStats load(std::istream& is);
+    /// Binary persistence of the exact accumulator state (u64 count +
+    /// raw mean/M2/min/max doubles, util/bytes.hpp). A loaded instance is
+    /// bit-identical to the saved one — the campaign point store relies
+    /// on this so a warm re-run reproduces cold-run output byte for byte.
+    void save(ByteWriter& out) const;
+    static RunningStats load(ByteReader& in);
 
 private:
     std::size_t n_ = 0;

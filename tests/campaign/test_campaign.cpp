@@ -287,5 +287,20 @@ TEST_F(CampaignTest, CampaignPathMatchesHandRolledSweepByteForByte) {
     EXPECT_EQ(campaign_csv, read_file(legacy_path));
 }
 
+TEST_F(CampaignTest, ManifestEscapesControlCharactersInNames) {
+    // A tab in a panel name is written as \t, not dropped, and a quote
+    // is escaped: the manifest stays valid JSON that names the panel.
+    CampaignSpec spec = tiny_campaign();
+    spec.panels.erase(spec.panels.begin());  // keep the op-stream panel
+    spec.panels[0].name = "a\tb\"c";
+    spec.panels[0].grid = GridSpec::explicit_values({700.0});
+    CampaignRunner runner(spec, options("e"));
+    const CampaignResult result = runner.run();
+    ASSERT_TRUE(result.completed);
+    const std::string manifest = read_file(result.manifest_path);
+    EXPECT_NE(manifest.find(R"({"name": "a\tb\"c")"), std::string::npos)
+        << manifest;
+}
+
 }  // namespace
 }  // namespace sfi::campaign

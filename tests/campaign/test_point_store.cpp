@@ -10,9 +10,14 @@
 #include "campaign/figures.hpp"
 #include "campaign/spec.hpp"
 #include "fi/core_model.hpp"
+#include "util/fingerprint.hpp"
+#include "util/rng.hpp"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,6 +65,47 @@ void expect_identical(const PointSummary& a, const PointSummary& b) {
     EXPECT_EQ(a.fi_rate_stats.count(), b.fi_rate_stats.count());
     EXPECT_EQ(a.fi_rate_stats.mean(), b.fi_rate_stats.mean());
     EXPECT_EQ(a.fi_rate_stats.variance(), b.fi_rate_stats.variance());
+}
+
+std::string summary_bytes(const PointSummary& summary) {
+    std::ostringstream os(std::ios::binary);
+    save_point_summary(os, summary);
+    return os.str();
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+template <typename T>
+void poke(std::string& bytes, std::size_t at, T value) {
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+// The store layout (point_store.hpp): a 12-byte header, then records of
+// u64 key, u32 size, a 152-byte payload and its u64 FNV-1a.
+constexpr std::size_t kHeaderBytes = 12;
+constexpr std::size_t kPayloadBytes = 152;
+constexpr std::size_t kRecordBytes = 8 + 4 + kPayloadBytes + 8;
+constexpr std::uint32_t kMaxPayload = 1u << 20;
+
+/// `bytes` with `junk` appended to record `r`'s payload, and the record's
+/// size field and hash rewritten to match, as a consistent writer of a
+/// longer payload would have left them.
+std::string with_payload_junk(const std::string& bytes, std::size_t r,
+                              const std::string& junk) {
+    const std::size_t at = kHeaderBytes + r * kRecordBytes;
+    const std::string payload = bytes.substr(at + 12, kPayloadBytes) + junk;
+    std::string record = bytes.substr(at, 12) + payload + std::string(8, '\0');
+    poke(record, 8, static_cast<std::uint32_t>(payload.size()));
+    poke(record, 12 + payload.size(),
+         Fingerprint().bytes(payload.data(), payload.size()).value());
+    return bytes.substr(0, at) + record + bytes.substr(at + kRecordBytes);
 }
 
 class PointStoreTest : public ::testing::Test {
@@ -286,6 +332,135 @@ TEST_F(PointStoreTest, ForeignFileAndBitRotDiagnosticKinds) {
     }
     EXPECT_NE(testing::internal::GetCapturedStderr().find("bit-rot"),
               std::string::npos);
+}
+
+TEST_F(PointStoreTest, EmptyFileIsAnEmptyStore) {
+    // Nothing is dropped, so nothing is reported; the first insert
+    // writes the header.
+    write_bytes(path_, "");
+    {
+        PointStore store(path_);
+        EXPECT_EQ(store.size(), 0u);
+        EXPECT_TRUE(store.diagnostics().empty());
+        store.insert(9, sample_summary(730.0));
+    }
+    PointStore reopened(path_);
+    EXPECT_TRUE(reopened.diagnostics().empty());
+    EXPECT_TRUE(reopened.lookup(9).has_value());
+}
+
+TEST_F(PointStoreTest, PayloadWithTrailingBytesIsDropped) {
+    {
+        PointStore store(path_);
+        store.insert(1, sample_summary(700.0));
+        store.insert(2, sample_summary(710.0));
+    }
+    // A payload of one summary plus junk, under a matching hash, is no
+    // summary: the record and the tail go, as for a torn record.
+    write_bytes(path_, with_payload_junk(read_bytes(path_), 1, "junk"));
+    testing::internal::CaptureStderr();
+    PointStore store(path_);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("corrupt-tail"),
+              std::string::npos);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_TRUE(store.lookup(1).has_value());
+    EXPECT_FALSE(store.lookup(2).has_value());
+    ASSERT_EQ(store.diagnostics().size(), 1u);
+    EXPECT_EQ(store.diagnostics().front().kind, StoreDiagnostic::Kind::CorruptTail);
+    EXPECT_EQ(store.recovered_bytes(), kRecordBytes + 4);
+}
+
+TEST_F(PointStoreTest, SeededMutantsLoadAnIntactPrefix) {
+    // Each mutant is one random edit of a valid 4-record store: a bit
+    // flip, a hostile size field, a truncation, or junk appended to a
+    // payload under a recomputed hash. Opening never throws and loads
+    // the records before the edit, bit for bit; the next insert then
+    // leaves a healthy file.
+    const std::vector<std::uint64_t> keys = {0x1111, 0x2222, 0x3333, 0x4444};
+    std::vector<std::string> originals;
+    {
+        PointStore store(path_);
+        for (std::size_t r = 0; r < keys.size(); ++r) {
+            const PointSummary summary = sample_summary(700.0 + 10.0 * r, 40 + r);
+            store.insert(keys[r], summary);
+            originals.push_back(summary_bytes(summary));
+        }
+    }
+    const std::string valid = read_bytes(path_);
+    ASSERT_EQ(valid.size(), kHeaderBytes + keys.size() * kRecordBytes);
+    const std::uint32_t hostile[] = {0,           1,           151, 153, kMaxPayload,
+                                     kMaxPayload + 1, 0xFFFFFFFFu};
+    Rng rng(2025);
+    for (int m = 0; m < 1500; ++m) {
+        std::string bytes = valid;
+        std::vector<std::uint64_t> expected_keys = keys;
+        std::size_t intact = keys.size();  // records expected to load
+        bool damaged = true;               // a diagnostic is expected
+        const std::uint64_t kind = rng.bounded(4);
+        const std::size_t r = rng.bounded(keys.size());
+        switch (kind) {
+            case 0: {  // one flipped bit anywhere
+                const std::size_t at = rng.bounded(bytes.size());
+                const unsigned bit = static_cast<unsigned>(rng.bounded(8));
+                bytes[at] = static_cast<char>(bytes[at] ^ (1u << bit));
+                if (at < kHeaderBytes) {
+                    intact = 0;
+                    break;
+                }
+                const std::size_t record = (at - kHeaderBytes) / kRecordBytes;
+                const std::size_t offset = (at - kHeaderBytes) % kRecordBytes;
+                if (offset < 8) {
+                    // The hash covers the payload, not the key: the record
+                    // loads intact under a key no campaign asks for.
+                    expected_keys[record] ^= std::uint64_t{1} << (8 * offset + bit);
+                    damaged = false;
+                } else {
+                    intact = record;
+                }
+                break;
+            }
+            case 1:  // a hostile size field
+                poke(bytes, kHeaderBytes + r * kRecordBytes + 8,
+                     hostile[rng.bounded(std::size(hostile))]);
+                intact = r;
+                break;
+            case 2: {  // truncated anywhere
+                const std::size_t size = rng.bounded(bytes.size());
+                bytes.resize(size);
+                intact = size < kHeaderBytes ? 0 : (size - kHeaderBytes) / kRecordBytes;
+                damaged = size > 0 && (size < kHeaderBytes ||
+                                       (size - kHeaderBytes) % kRecordBytes != 0);
+                break;
+            }
+            default:  // junk after a payload, under a recomputed hash
+                bytes = with_payload_junk(bytes, r, std::string(1 + rng.bounded(16), 'j'));
+                intact = r;
+                break;
+        }
+        SCOPED_TRACE("mutant " + std::to_string(m) + " kind " + std::to_string(kind));
+        write_bytes(path_, bytes);
+        std::ostringstream warnings;
+        obs::Ledger ledger(warnings, obs::TraceMode::Logical);
+        {
+            std::optional<PointStore> store;
+            ASSERT_NO_THROW(store.emplace(path_, &ledger));
+            EXPECT_EQ(store->size(), intact);
+            for (std::size_t j = 0; j < keys.size(); ++j) {
+                const auto loaded = store->lookup(expected_keys[j]);
+                ASSERT_EQ(loaded.has_value(), j < intact) << "record " << j;
+                if (loaded) {
+                    EXPECT_EQ(summary_bytes(*loaded), originals[j]) << j;
+                }
+            }
+            EXPECT_EQ(store->diagnostics().empty(), !damaged);
+            EXPECT_EQ(store->recovered_bytes() > 0, !store->diagnostics().empty());
+            store->insert(0x5555, sample_summary(800.0));
+        }
+        PointStore reopened(path_, &ledger);
+        EXPECT_TRUE(reopened.diagnostics().empty());
+        EXPECT_EQ(reopened.size(), intact + 1);
+        if (HasFailure()) return;
+    }
 }
 
 TEST(StoreDiagnosticNames, AreStable) {

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <string>
 
+#include "util/rng.hpp"
+
 namespace sfi::obs {
 namespace {
 
@@ -190,6 +192,60 @@ TEST(Ledger, WallModeTimestampsAreMonotonic) {
     EXPECT_LE(file.events[0].ts_us, file.events[1].ts_us);
     EXPECT_LE(file.events[1].ts_us, file.events[2].ts_us);
     EXPECT_GE(file.events[0].ts_us, 0.0);
+}
+
+TEST(Ledger, SeededMutantsThrowOrParse) {
+    // Each mutant is one random edit of a valid ledger: a flipped bit, a
+    // byte replaced by a character JSON gives meaning to, a deleted byte,
+    // or a truncation. read_ledger either parses it, and then every arg
+    // reads back, or throws std::runtime_error; nothing else escapes.
+    std::ostringstream os;
+    {
+        Ledger ledger(os, TraceMode::Wall);
+        ledger.begin("campaign", {{"name", "t\"i\\n\ny"}, {"trials", 5}});
+        ledger.instant("probe", {{"freq_mhz", 712.5},
+                                 {"failing", true},
+                                 {"path", std::string("a\tb\x01")}});
+        ledger.worker_span(3, "trials", 10.0, 42.5, {{"trials", 7}});
+        ledger.end("campaign", {{"completed", false}});
+    }
+    const std::string valid = os.str();
+    const std::string meaningful = "{}[]\":,\\u \n0e-";
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    Rng rng(2026);
+    for (int m = 0; m < 4000; ++m) {
+        std::string bytes = valid;
+        const std::size_t at = rng.bounded(bytes.size());
+        switch (rng.bounded(4)) {
+            case 0:
+                bytes[at] = static_cast<char>(bytes[at] ^ (1u << rng.bounded(8)));
+                break;
+            case 1: bytes[at] = meaningful[rng.bounded(meaningful.size())]; break;
+            case 2: bytes.erase(at, 1); break;
+            default: bytes.resize(at); break;
+        }
+        std::istringstream is(bytes);
+        try {
+            const LedgerFile file = read_ledger(is);
+            for (const LedgerEvent& event : file.events) {
+                for (const auto& [key, raw] : event.args) {
+                    event.arg_string(key);
+                    event.arg_double(key);
+                    event.arg_uint(key);
+                    event.arg_bool(key);
+                }
+            }
+            ++parsed;
+        } catch (const std::runtime_error&) {
+            ++rejected;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "mutant " << m << " threw " << e.what();
+        }
+    }
+    // Both outcomes must occur, or the mutator is not probing the parser.
+    EXPECT_GT(parsed, 500u);
+    EXPECT_GT(rejected, 500u);
 }
 
 }  // namespace

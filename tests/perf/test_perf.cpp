@@ -341,7 +341,7 @@ PerfReport make_report() {
     kernel.scaling.push_back({4, 0.0625, 4096.0});
     report.kernels.push_back(kernel);
     report.fast_path = {700.0, 42000.0, 60.0};
-    report.fault_sampling = {2.9e7, 4.3e7, 8.9e7, 1.48, false};
+    report.fault_sampling = {2.9e7, 4.3e7, 8.9e7, 1.48};
     report.campaign = CampaignSample{"fig1", 1.5, 330};
     report.metrics.add("campaign.points", 33);
     report.metrics.add("campaign.trials_spent", 330);
